@@ -32,10 +32,9 @@ def model_check_lmu(
     max_loop_iterations: int = DEFAULT_LOOP_CAP,
 ) -> CheckOutcome:
     """Value of a closed formula at each requested state (default: all)."""
-    normalized = lmu.normalize_binders(phi)
     evaluator = TermEvaluator(max_loop_iterations)
     targets = states if states is not None else m.states
-    per_state = translate_all(normalized, m, interp, targets, normalize=False)
+    per_state = translate_all(phi, m, interp, targets)
     values: dict[str, Fraction] = {}
     for s in targets:
         values[s] = evaluator.value(per_state[s], {})

@@ -5,7 +5,8 @@ Subcommands: `check` runs the full pipeline on a model file and a formula,
 prints per-state terms, `eval` evaluates a term at a point, and `oracle`
 runs the brute-force PCTL checker. Values print as exact rationals; decimal
 approximations are opt-in and marked with `~`. Exit codes: 0 success, 1
-input error, 2 internal invariant failure.
+input error (including nesting beyond the recursion limit), 2 internal
+invariant failure or any other unexpected exception.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
 
 from . import lmu, pctl, terms
@@ -25,26 +27,21 @@ from .evaluator import (
     render_lin_expr,
 )
 from .model import ModelError, parse_model
-from .oracle import OracleError, SchedulerSpaceError, pctl_oracle, next_prob, until_prob_md
+from .oracle import OracleError, SchedulerSpaceError, pctl_oracle, prob_operator_values
 from .parser import ParseError, parse_lmu, parse_pctl, parse_term
 from .rationals import RationalParseError, approx_decimal, format_rational, parse_rational
 from .translator import TranslationError, translate
 
-_INPUT_ERRORS = (
-    ModelError,
-    ParseError,
-    RationalParseError,
-    EvalError,
-    OracleError,
-    TranslationError,
-    OSError,
-    ValueError,
-)
+RECURSION_LIMIT = 20_000
 
 
 def _load_model(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ModelError(str(exc)) from exc
+    return parse_model(text)
 
 
 def _report_lines(outcome: CheckOutcome, show_approx: bool) -> list[str]:
@@ -57,7 +54,7 @@ def _report_lines(outcome: CheckOutcome, show_approx: bool) -> list[str]:
     return lines
 
 
-def _report_json(formula_text: str, outcome: CheckOutcome) -> str:
+def _report_json(formula_text: str, values: dict[str, Fraction], iterations: int) -> str:
     doc = {
         "formula": formula_text,
         "results": [
@@ -67,14 +64,16 @@ def _report_json(formula_text: str, outcome: CheckOutcome) -> str:
                 "den": str(v.denominator),
                 "approx": approx_decimal(v),
             }
-            for s, v in outcome.values.items()
+            for s, v in values.items()
         ],
-        "iterations": outcome.iterations,
+        "iterations": iterations,
     }
     return json.dumps(doc)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    if args.cross_check and args.pctl is None:
+        raise ModelError("--cross-check needs a PCTL formula")
     m, interp = _load_model(args.model)
     states = (args.state,) if args.state else None
     if states and states[0] not in m.index:
@@ -88,8 +87,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         outcome = model_check_lmu(phi, m, interp, states)
         formula_text = args.lmu
     if args.cross_check:
-        if args.pctl is None:
-            raise ModelError("--cross-check needs a PCTL formula")
         verdict = pctl_oracle(phi, m, interp)
         for s, v in outcome.values.items():
             expected = Fraction(1 if verdict[s] else 0)
@@ -99,7 +96,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                     f"oracle {format_rational(expected)}"
                 )
     if args.json:
-        print(_report_json(formula_text, outcome))
+        print(_report_json(formula_text, outcome.values, outcome.iterations))
     else:
         for line in _report_lines(outcome, args.approx):
             print(line)
@@ -158,40 +155,23 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    if args.json and args.probs:
+        raise OracleError("--probs cannot be combined with --json")
     m, interp = _load_model(args.model)
     phi = parse_pctl(args.pctl)
+    if args.state and args.state not in m.index:
+        raise ModelError(f"unknown state {args.state!r}")
     verdict = pctl_oracle(phi, m, interp)
     states = (args.state,) if args.state else m.states
-    for s in states:
-        if s not in m.index:
-            raise ModelError(f"unknown state {s!r}")
     if args.json:
-        doc = {
-            "formula": args.pctl,
-            "results": [
-                {"state": s, "num": "1" if verdict[s] else "0", "den": "1",
-                 "approx": "1" if verdict[s] else "0"}
-                for s in states
-            ],
-            "iterations": 0,
-        }
-        print(json.dumps(doc))
+        values = {s: Fraction(int(verdict[s])) for s in states}
+        print(_report_json(args.pctl, values, 0))
         return 0
     for s in states:
         print(f"{s} = {1 if verdict[s] else 0}")
     if args.probs:
         if isinstance(phi, (pctl.ProbExists, pctl.ProbForall)):
-            mode = "max" if isinstance(phi, pctl.ProbExists) else "min"
-            path = phi.path
-            if isinstance(path, pctl.Next):
-                target = frozenset(
-                    s for s, ok in pctl_oracle(path.body, m, interp).items() if ok
-                )
-                probs = next_prob(m, target, mode)
-            else:
-                left = frozenset(s for s, ok in pctl_oracle(path.left, m, interp).items() if ok)
-                right = frozenset(s for s, ok in pctl_oracle(path.right, m, interp).items() if ok)
-                probs = until_prob_md(m, left, right, mode)
+            probs = prob_operator_values(phi, m, interp)
             for s in states:
                 print(f"prob {s} = {format_rational(probs[s])}")
         else:
@@ -250,20 +230,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), RECURSION_LIMIT))
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
         return args.func(args)
+    except (
+        ModelError,
+        ParseError,
+        RationalParseError,
+        EvalError,
+        OracleError,
+        TranslationError,
+        SchedulerSpaceError,
+        OSError,
+    ) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print(
+            f"error: input nests too deeply for the recursion limit ({RECURSION_LIMIT})",
+            file=sys.stderr,
+        )
+        return 1
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
-    except SchedulerSpaceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:  # a bug, never an input error: keep the traceback
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -41,13 +41,8 @@ __all__ = [
     "InternalInvariantError",
     "LinExpr",
     "Inequality",
-    "ConditionedExpr",
-    "SplitBounds",
     "EvalResult",
-    "lin_eval",
-    "lin_subst",
     "cond_holds",
-    "first_violated",
     "normalize_on",
     "make_conditions",
     "TermEvaluator",
@@ -136,45 +131,6 @@ class LinExpr:
         return tuple(s for s, _ in self.coeffs)
 
 
-def lin_eval(e: LinExpr, values: Sequence[Fraction] | Mapping[int, Fraction]) -> Fraction:
-    """Exact value of e at the point."""
-    return e.evaluate(values)
-
-
-def lin_subst(e: LinExpr, slot: int, repl: LinExpr) -> LinExpr:
-    """e with the slot replaced by repl, multiplied out."""
-    return e.substitute(slot, repl)
-
-
-def _free_name_map(root: terms.Term) -> dict[int, tuple[str, ...]]:
-    """Sorted free variable names per node id; shared subterms visited once."""
-    free: dict[int, tuple[str, ...]] = {}
-    stack: list[tuple[terms.Term, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if id(node) in free:
-            continue
-        if isinstance(node, terms.TVar):
-            free[id(node)] = (node.name,)
-            continue
-        children: tuple[terms.Term, ...]
-        if isinstance(node, (terms.TScalar, terms.TMu, terms.TNu)):
-            children = (node.body,)
-        else:
-            children = (node.left, node.right)
-        if not expanded:
-            stack.append((node, True))
-            stack.extend((c, False) for c in children)
-            continue
-        merged: set[str] = set()
-        for c in children:
-            merged.update(free[id(c)])
-        if isinstance(node, (terms.TMu, terms.TNu)):
-            merged.discard(node.var)
-        free[id(node)] = tuple(sorted(merged))
-    return free
-
-
 @dataclass(frozen=True)
 class Inequality:
     """Canonical `expr > 0` (strict) or `expr >= 0` over integer coefficients."""
@@ -233,64 +189,42 @@ def cond_holds(conditions: Iterable[Inequality], values) -> bool:
     return all(ineq.holds(values) for ineq in conditions)
 
 
-def first_violated(conditions: Iterable[Inequality], values) -> Inequality | None:
-    """Least failing inequality in canonical order, None if all hold."""
-    return _first_violated_sorted(sorted(conditions, key=Inequality.sort_key), values)
-
-
 def _first_violated_sorted(conditions: Iterable[Inequality], values) -> Inequality | None:
+    """Least failing inequality of a canonically ordered set, None if all hold."""
     for ineq in conditions:
         if not ineq.holds(values):
             return ineq
     return None
 
 
-@dataclass(frozen=True)
-class ConditionedExpr:
-    conditions: tuple[Inequality, ...]
-    expr: LinExpr
+def normalize_on(
+    conditions: Iterable[Inequality], slot: int
+) -> tuple[list[LinExpr], list[LinExpr]]:
+    """Upper and lower bounds the conditions place on one variable.
 
-
-@dataclass
-class SplitBounds:
-    """Conditions arranged around one variable: residual set plus bounds on it.
-
-    Bound lists follow the canonical order of their source inequalities.
+    Each inequality mentioning the slot is divided by its coefficient,
+    flipping on sign. Uppers list non-strict bounds before strict ones,
+    lowers strict before non-strict, each group in the canonical order of
+    its source inequalities; the loop breaks ties by this order.
     """
-
-    residual: tuple[Inequality, ...]
-    lower_strict: list[LinExpr]
-    lower_nonstrict: list[LinExpr]
-    upper_nonstrict: list[LinExpr]
-    upper_strict: list[LinExpr]
-
-    def uppers(self) -> list[LinExpr]:
-        return self.upper_nonstrict + self.upper_strict
-
-    def lowers(self) -> list[LinExpr]:
-        return self.lower_strict + self.lower_nonstrict
-
-
-def normalize_on(conditions: Iterable[Inequality], slot: int) -> SplitBounds:
-    """Divide each inequality by its slot coefficient, flipping on sign."""
-    residual: list[Inequality] = []
-    out = SplitBounds((), [], [], [], [])
+    upper_nonstrict: list[LinExpr] = []
+    upper_strict: list[LinExpr] = []
+    lower_strict: list[LinExpr] = []
+    lower_nonstrict: list[LinExpr] = []
     for ineq in sorted(conditions, key=Inequality.sort_key):
         c = Fraction(0)
         for s, v in ineq.coeffs:
             if s == slot:
                 c = Fraction(v)
         if c == 0:
-            residual.append(ineq)
             continue
         rest = ineq.as_linexpr().without(slot)
         bound = rest.scale(Fraction(-1) / c)  # solve c*x + rest ? 0 for x
         if c > 0:
-            (out.lower_strict if ineq.strict else out.lower_nonstrict).append(bound)
+            (lower_strict if ineq.strict else lower_nonstrict).append(bound)
         else:
-            (out.upper_strict if ineq.strict else out.upper_nonstrict).append(bound)
-    out.residual = tuple(residual)
-    return out
+            (upper_strict if ineq.strict else upper_nonstrict).append(bound)
+    return upper_nonstrict + upper_strict, lower_strict + lower_nonstrict
 
 
 @dataclass(frozen=True)
@@ -306,10 +240,6 @@ class EvalResult:
     value: Fraction
     variables: tuple[str, ...]
     iterations: int
-
-    @property
-    def conditioned(self) -> ConditionedExpr:
-        return ConditionedExpr(self.conditions, self.expr)
 
 
 class TermEvaluator:
@@ -331,7 +261,7 @@ class TermEvaluator:
 
     def evaluate(self, term: terms.Term, point: Mapping[str, Fraction]) -> EvalResult:
         self._roots.append(term)
-        self._free.update(_free_name_map(term))
+        self._free.update(terms.free_name_map(term))
         missing = set(self._free[id(term)]) - set(point)
         if missing:
             raise EvalError(f"point does not cover variables {sorted(missing)}")
@@ -539,8 +469,8 @@ class TermEvaluator:
                     if isinstance(sign, Inequality):
                         blocker = sign
                 # find the next approximation
-                bounds = normalize_on(conds, slot)
-                candidates = bounds.uppers() if is_mu else bounds.lowers()
+                uppers, lowers = normalize_on(conds, slot)
+                candidates = uppers if is_mu else lowers
                 if not candidates:
                     raise InternalInvariantError(
                         "no bound on the fixed-point variable; conditions must box it"

@@ -47,12 +47,6 @@ class Distribution:
         items = sorted(weights.items(), key=lambda kv: order.get(kv[0], len(order)))
         return Distribution(tuple(items))
 
-    def weight(self, state: str) -> Fraction:
-        for s, w in self.entries:
-            if s == state:
-                return w
-        return Fraction(0)
-
     @property
     def support(self) -> tuple[str, ...]:
         return tuple(s for s, _ in self.entries)
@@ -89,9 +83,6 @@ class Interpretation:
     def value(self, prop: str, state: str) -> Fraction:
         return self.valuation.get(prop, {}).get(state, Fraction(0))
 
-    def props(self) -> tuple[str, ...]:
-        return tuple(self.valuation)
-
     def is_boolean(self) -> bool:
         return all(
             v in (Fraction(0), Fraction(1))
@@ -105,9 +96,16 @@ class EdgeRelation:
     """The underlying nondeterministic graph: s -> t iff some distribution hits t."""
 
     edges: frozenset[tuple[str, str]]
+    succ: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        succ: dict[str, list[str]] = {}
+        for s, t in self.edges:
+            succ.setdefault(s, []).append(t)
+        object.__setattr__(self, "succ", {s: tuple(sorted(ts)) for s, ts in succ.items()})
 
     def successors(self, state: str) -> tuple[str, ...]:
-        return tuple(sorted(t for s, t in self.edges if s == state))
+        return self.succ.get(state, ())
 
 
 def underlying_graph(m: Pnts) -> EdgeRelation:
@@ -181,7 +179,7 @@ def _parse_pairs(body: str, lineno: int, what: str) -> list[tuple[str, Fraction]
 
 def parse_model(text: str) -> tuple[Pnts, Interpretation]:
     """Parse and validate a model file, raising ModelError with a line number."""
-    states: list[str] = []
+    order: dict[str, int] = {}  # declared states, in declaration order
     valuation: dict[str, dict[str, Fraction]] = {}
     trans: dict[str, list[Distribution]] = {}
 
@@ -196,9 +194,9 @@ def parse_model(text: str) -> tuple[Pnts, Interpretation]:
                     raise ModelError(
                         f"line {lineno}: state name {name!r} must start lowercase"
                     )
-                if name in states:
+                if name in order:
                     raise ModelError(f"line {lineno}: duplicate state {name}")
-                states.append(name)
+                order[name] = len(order)
             continue
         m = _PROP_LINE.match(line)
         if m:
@@ -207,7 +205,7 @@ def parse_model(text: str) -> tuple[Pnts, Interpretation]:
                 raise ModelError(f"line {lineno}: duplicate proposition {prop}")
             per_state: dict[str, Fraction] = {}
             for name, q in _parse_pairs(body, lineno, "prop"):
-                if name not in states:
+                if name not in order:
                     raise ModelError(f"line {lineno}: unknown state {name}")
                 if name in per_state:
                     raise ModelError(f"line {lineno}: repeated state {name}")
@@ -221,11 +219,11 @@ def parse_model(text: str) -> tuple[Pnts, Interpretation]:
         m = _TRANS_LINE.match(line)
         if m:
             src, body = m.group(1), m.group(2)
-            if src not in states:
+            if src not in order:
                 raise ModelError(f"line {lineno}: unknown state {src}")
             weights: dict[str, Fraction] = {}
             for name, q in _parse_pairs(body, lineno, "trans"):
-                if name not in states:
+                if name not in order:
                     raise ModelError(f"line {lineno}: unknown state {name}")
                 if name in weights:
                     raise ModelError(f"line {lineno}: repeated state {name}")
@@ -241,7 +239,6 @@ def parse_model(text: str) -> tuple[Pnts, Interpretation]:
                 raise ModelError(
                     f"line {lineno}: distribution sums to {format_rational(total)}, expected 1"
                 )
-            order = {s: i for i, s in enumerate(states)}
             dist = Distribution.from_dict(weights, order)
             bucket = trans.setdefault(src, [])
             if dist not in bucket:  # duplicate distributions carry no information
@@ -249,9 +246,9 @@ def parse_model(text: str) -> tuple[Pnts, Interpretation]:
             continue
         raise ModelError(f"line {lineno}: unrecognized line {line!r}")
 
-    if not states:
+    if not order:
         raise ModelError("model declares no states")
-    pnts = Pnts(tuple(states), {s: tuple(ds) for s, ds in trans.items()})
+    pnts = Pnts(tuple(order), {s: tuple(ds) for s, ds in trans.items()})
     interp = Interpretation(valuation)
     errors = validate_model(pnts, interp)
     if errors:

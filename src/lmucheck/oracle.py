@@ -32,6 +32,7 @@ __all__ = [
     "pctl_oracle",
     "next_prob",
     "until_prob_md",
+    "prob_operator_values",
     "md_schedulers",
     "chain_of",
     "solve_chain_until",
@@ -204,10 +205,7 @@ def pctl_oracle(
     """Per-state truth values, computed directly from the path semantics."""
     if not interp.is_boolean():
         raise OracleError("PCTL needs a boolean valuation")
-    succ: dict[str, tuple[str, ...]] = {}
-    graph = underlying_graph(m)
-    for s in m.states:
-        succ[s] = tuple(t for t in m.states if (s, t) in graph.edges)
+    succ = underlying_graph(m).successors
 
     def sat(node: pctl.PctlState) -> frozenset[str]:
         if isinstance(node, pctl.TrueFormula):
@@ -223,12 +221,7 @@ def pctl_oracle(
         if isinstance(node, pctl.Forall):
             return _qualitative(node.path, exists=False)
         if isinstance(node, (pctl.ProbExists, pctl.ProbForall)):
-            mode = "max" if isinstance(node, pctl.ProbExists) else "min"
-            path = node.path
-            if isinstance(path, pctl.Next):
-                probs = next_prob(m, sat(path.body), mode)
-            else:
-                probs = until_prob_md(m, sat(path.left), sat(path.right), mode, cap)
+            probs = prob_operator_values(node, m, interp, cap)
             if node.strict:
                 return frozenset(s for s in m.states if probs[s] > node.bound)
             return frozenset(s for s in m.states if probs[s] >= node.bound)
@@ -238,10 +231,10 @@ def pctl_oracle(
         if isinstance(path, pctl.Next):
             target = sat(path.body)
             if exists:
-                return frozenset(s for s in m.states if any(t in target for t in succ[s]))
+                return frozenset(s for s in m.states if any(t in target for t in succ(s)))
             # a deadlocked state has one maximal path of length 1, falsifying next
             return frozenset(
-                s for s in m.states if succ[s] and all(t in target for t in succ[s])
+                s for s in m.states if succ(s) and all(t in target for t in succ(s))
             )
         goal = sat(path.right)
         guard = sat(path.left)
@@ -252,16 +245,36 @@ def pctl_oracle(
             for s in m.states:
                 if s in sat_set or s not in guard:
                     continue
-                if not succ[s]:
+                if not succ(s):
                     continue
                 step = any if exists else all
-                if step(t in sat_set for t in succ[s]):
+                if step(t in sat_set for t in succ(s)):
                     sat_set.add(s)
                     changed = True
         return frozenset(sat_set)
 
     verdict = sat(phi)
     return {s: s in verdict for s in m.states}
+
+
+def prob_operator_values(
+    node: pctl.ProbExists | pctl.ProbForall,
+    m: Pnts,
+    interp: Interpretation,
+    cap: int = DEFAULT_SCHEDULER_CAP,
+) -> dict[str, Fraction]:
+    """Extremal probability of the operator's path formula, per state: max
+    for `Pmax`, min for `Pmin`, with the operand sat-sets from the oracle."""
+
+    def sat(operand: pctl.PctlState) -> frozenset[str]:
+        verdict = pctl_oracle(operand, m, interp, cap)
+        return frozenset(s for s in m.states if verdict[s])
+
+    mode = "max" if isinstance(node, pctl.ProbExists) else "min"
+    path = node.path
+    if isinstance(path, pctl.Next):
+        return next_prob(m, sat(path.body), mode)
+    return until_prob_md(m, sat(path.left), sat(path.right), mode, cap)
 
 
 # -- direct evaluation and Kleene iteration ------------------------------------
@@ -272,29 +285,16 @@ def _expectation(d: Distribution, values: Mapping[str, Fraction]) -> Fraction:
 
 
 def direct_value(phi: lmu.Lmu, m: Pnts, interp: Interpretation) -> dict[str, Fraction]:
-    """Recursive evaluation of a fixed-point-free formula, per state."""
+    """Value of a fixed-point-free formula, per state.
 
-    def walk(node: lmu.Lmu) -> dict[str, Fraction]:
+    Without binders Kleene iteration runs no loop, so its value is exact.
+    """
+    for node in lmu.subformulas(phi):
         if isinstance(node, (lmu.Mu, lmu.Nu)):
             raise OracleError("direct evaluation handles fixed-point-free formulas only")
         if isinstance(node, lmu.Var):
             raise OracleError(f"free variable {node.name} has no interpretation")
-        if isinstance(node, lmu.Prop):
-            return {s: interp.value(node.name, s) for s in m.states}
-        if isinstance(node, lmu.CoProp):
-            return {s: 1 - interp.value(node.name, s) for s in m.states}
-        if isinstance(node, lmu.Scalar):
-            sub = walk(node.body)
-            return {s: node.factor * sub[s] for s in m.states}
-        if isinstance(node, (lmu.Join, lmu.Meet, lmu.OPlus, lmu.OTimes)):
-            left, right = walk(node.left), walk(node.right)
-            return {s: _combine(node, left[s], right[s]) for s in m.states}
-        if isinstance(node, (lmu.Diamond, lmu.Box)):
-            sub = walk(node.body)
-            return {s: _modal(node, m.distributions(s), sub) for s in m.states}
-        raise TypeError(f"not a formula: {node!r}")
-
-    return walk(phi)
+    return kleene_lmu(phi, m, interp).value
 
 
 def _combine(node: lmu.Lmu, a: Fraction, b: Fraction) -> Fraction:

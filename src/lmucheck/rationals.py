@@ -11,16 +11,11 @@ import re
 from fractions import Fraction
 
 __all__ = [
-    "Rational",
     "RationalParseError",
     "parse_rational",
     "format_rational",
     "approx_decimal",
-    "arith",
-    "compare",
 ]
-
-Rational = Fraction
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _FRAC_RE = re.compile(r"^[+-]?\d+/(\d+)$")
@@ -55,26 +50,3 @@ def approx_decimal(q: Fraction, digits: int = 6) -> str:
     """Decimal approximation for display only, never fed back into computation."""
     return f"{float(q):.{digits}g}"
 
-
-def arith(op: str, a: Fraction, b: Fraction) -> Fraction:
-    """Exact field operation; op is one of add, sub, mul, div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def compare(a: Fraction, b: Fraction) -> int:
-    """Total-order comparison: -1, 0 or 1, consistent with subtraction sign."""
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0

@@ -27,6 +27,7 @@ __all__ = [
     "T_ONE",
     "T_ZERO",
     "tconst",
+    "free_name_map",
     "term_free_variables",
     "render_term",
 ]
@@ -98,16 +99,39 @@ def tconst(q: Fraction) -> Term:
     return TScalar(Fraction(q), T_ONE)
 
 
+def free_name_map(root: Term) -> dict[int, tuple[str, ...]]:
+    """Sorted free variable names per node id; shared subterms visited once."""
+    free: dict[int, tuple[str, ...]] = {}
+    stack: list[tuple[Term, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if id(node) in free:
+            continue
+        if isinstance(node, TVar):
+            free[id(node)] = (node.name,)
+            continue
+        children: tuple[Term, ...]
+        if isinstance(node, (TJoin, TMeet, TOPlus, TOTimes)):
+            children = (node.left, node.right)
+        elif isinstance(node, (TScalar, TMu, TNu)):
+            children = (node.body,)
+        else:
+            raise TypeError(f"not a term: {node!r}")
+        if not expanded:
+            stack.append((node, True))
+            stack.extend((c, False) for c in children)
+            continue
+        merged: set[str] = set()
+        for c in children:
+            merged.update(free[id(c)])
+        if isinstance(node, (TMu, TNu)):
+            merged.discard(node.var)
+        free[id(node)] = tuple(sorted(merged))
+    return free
+
+
 def term_free_variables(t: Term) -> frozenset[str]:
-    if isinstance(t, TVar):
-        return frozenset({t.name})
-    if isinstance(t, TScalar):
-        return term_free_variables(t.body)
-    if isinstance(t, (TJoin, TMeet, TOPlus, TOTimes)):
-        return term_free_variables(t.left) | term_free_variables(t.right)
-    if isinstance(t, (TMu, TNu)):
-        return term_free_variables(t.body) - {t.var}
-    raise TypeError(f"not a term: {t!r}")
+    return frozenset(free_name_map(t)[id(t)])
 
 
 _LEVEL_BINDER = 0

@@ -108,13 +108,10 @@ def translate(
     interp: Interpretation,
     state: str,
     *,
-    normalize: bool = True,
     max_steps: int = 1_000_000,
 ) -> terms.Term:
     """Closed term whose value equals the formula's value at `state`."""
-    return translate_all(
-        phi, m, interp, (state,), normalize=normalize, max_steps=max_steps
-    )[state]
+    return translate_all(phi, m, interp, (state,), max_steps=max_steps)[state]
 
 
 def translate_all(
@@ -123,7 +120,6 @@ def translate_all(
     interp: Interpretation,
     states: tuple[str, ...] | None = None,
     *,
-    normalize: bool = True,
     max_steps: int = 1_000_000,
 ) -> dict[str, terms.Term]:
     """Per-state closed terms, maximally shared across states.
@@ -138,8 +134,7 @@ def translate_all(
     free = lmu.free_variables(phi)
     if free:
         raise TranslationError(f"formula must be closed; free: {sorted(free)}")
-    if normalize:
-        phi = lmu.normalize_binders(phi)
+    phi = lmu.normalize_binders(phi)
     binders = index_binders(phi)
     dominates = domination_relation(phi)
 

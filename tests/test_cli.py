@@ -2,7 +2,14 @@ import json
 
 import pytest
 
+from lmucheck import cli
 from lmucheck.cli import main
+from lmucheck.evaluator import EvalError, InternalInvariantError
+from lmucheck.model import ModelError
+from lmucheck.oracle import OracleError, SchedulerSpaceError
+from lmucheck.parser import ParseError
+from lmucheck.rationals import RationalParseError
+from lmucheck.translator import TranslationError
 
 COIN = """state s0 s1
 prop P = { s0: 0, s1: 1 }
@@ -145,3 +152,124 @@ def test_byte_identical_reports(capsys, model_file):
         capsys, "check", "--model", model_file, "--pctl", "Pmax>=1/2 [ true U P ]", "--json"
     )
     assert first == second
+
+
+def test_oracle_probs_next(capsys, model_file):
+    code, out, _ = run(
+        capsys, "oracle", "--model", model_file, "--pctl", "Pmin>1/2 [ X P ]", "--probs"
+    )
+    assert code == 0
+    # s0 reaches P with 1/2 in one step, not more; s1 is a deadlock
+    assert out.splitlines() == ["s0 = 0", "s1 = 0", "prob s0 = 1/2", "prob s1 = 0"]
+
+
+def test_oracle_probs_without_outer_operator(capsys, model_file):
+    code, out, _ = run(capsys, "oracle", "--model", model_file, "--pctl", "E X P", "--probs")
+    assert code == 0
+    assert out.splitlines() == [
+        "s0 = 1",
+        "s1 = 0",
+        "prob: formula has no outer probability operator",
+    ]
+
+
+# -- fail fast -----------------------------------------------------------------
+
+
+def test_oracle_json_with_probs_is_refused(capsys, model_file):
+    code, out, err = run(
+        capsys, "oracle", "--model", model_file, "--pctl", "E X P", "--json", "--probs"
+    )
+    assert code == 1 and out == ""
+    assert "--probs cannot be combined with --json" in err
+
+
+def test_cross_check_without_pctl_is_refused_before_work(capsys, monkeypatch, model_file):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the formula was evaluated")
+
+    monkeypatch.setattr(cli, "model_check_lmu", no_work)
+    code, out, err = run(
+        capsys, "check", "--model", model_file, "--lmu", "<>P", "--cross-check"
+    )
+    assert code == 1 and out == ""
+    assert "--cross-check needs a PCTL formula" in err
+
+
+def test_oracle_unknown_state_is_refused_before_work(capsys, monkeypatch, model_file):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(cli, "pctl_oracle", no_work)
+    code, out, err = run(
+        capsys, "oracle", "--model", model_file, "--pctl", "E X P", "--state", "s9"
+    )
+    assert code == 1 and out == ""
+    assert "unknown state 's9'" in err
+
+
+# -- exit codes ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        ModelError("bad model"),
+        ParseError("bad syntax", 3),
+        RationalParseError("bad rational"),
+        EvalError("bad point"),
+        OracleError("bad oracle input"),
+        TranslationError("bad translation"),
+        SchedulerSpaceError("too many schedulers"),
+        OSError("unreadable"),
+    ],
+    ids=lambda exc: type(exc).__name__,
+)
+def test_input_errors_exit_1(capsys, monkeypatch, model_file, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "model_check_lmu", fail)
+    code, _, err = run(capsys, "check", "--model", model_file, "--lmu", "<>P")
+    assert code == 1
+    assert err == f"error: {exc}\n"
+
+
+def test_invariant_failure_exit_2(capsys, monkeypatch, model_file):
+    def fail(*args, **kwargs):
+        raise InternalInvariantError("broken invariant")
+
+    monkeypatch.setattr(cli, "model_check_lmu", fail)
+    code, _, err = run(capsys, "check", "--model", model_file, "--lmu", "<>P")
+    assert code == 2
+    assert err == "internal error: broken invariant\n"
+
+
+@pytest.mark.parametrize("exc_type", [ValueError, TypeError])
+def test_unexpected_errors_exit_2(capsys, monkeypatch, model_file, exc_type):
+    def fail(*args, **kwargs):
+        raise exc_type("stray")
+
+    monkeypatch.setattr(cli, "model_check_lmu", fail)
+    code, _, err = run(capsys, "check", "--model", model_file, "--lmu", "<>P")
+    assert code == 2
+    assert err.startswith("Traceback")
+    assert err.endswith(f"internal error: {exc_type.__name__}: stray\n")
+
+
+def test_non_utf8_model_is_a_model_error(capsys, tmp_path):
+    path = tmp_path / "latin1.pnts"
+    path.write_bytes("state s0\nprop P = { s0: 1 } # \xe9\n".encode("latin-1"))
+    with pytest.raises(ModelError):
+        cli._load_model(str(path))
+    code, _, err = run(capsys, "check", "--model", str(path), "--lmu", "P")
+    assert code == 1
+    assert err.startswith("error: 'utf-8' codec can't decode")
+
+
+def test_recursion_limit_exit_1(capsys, model_file):
+    code, out, err = run(
+        capsys, "check", "--model", model_file, "--lmu", "<>" * 30_000 + "P"
+    )
+    assert code == 1 and out == ""
+    assert "recursion limit (20000)" in err

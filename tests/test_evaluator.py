@@ -13,10 +13,9 @@ from lmucheck.evaluator import (
     TermEvaluator,
     cond_holds,
     eval_closed,
+    _first_violated_sorted,
     eval_term,
-    first_violated,
-    lin_eval,
-    lin_subst,
+    make_conditions,
     normalize_on,
 )
 from lmucheck.parser import parse_term
@@ -48,18 +47,18 @@ def interval_of(conditions) -> tuple[Fraction, bool, Fraction, bool]:
 
 def test_lin_eval_examples():
     e = LinExpr(((0, F(1, 2)),), F(1, 4))
-    assert lin_eval(e, [F(1, 2)]) == F(1, 2)
-    assert lin_eval(LinExpr.constant(F(3, 4)), []) == F(3, 4)
+    assert e.evaluate([F(1, 2)]) == F(1, 2)
+    assert LinExpr.constant(F(3, 4)).evaluate([]) == F(3, 4)
     diff = LinExpr.variable(0).subtract(LinExpr.variable(1))
-    assert lin_eval(diff, [F(2, 7), F(2, 7)]) == 0
+    assert diff.evaluate([F(2, 7), F(2, 7)]) == 0
 
 
 def test_lin_subst_examples():
     e = LinExpr(((1, F(2)),), F(1))  # 2*x1 + 1
     repl = LinExpr(((0, F(1)),), F(1, 2))  # x0 + 1/2
-    assert lin_subst(e, 1, repl) == LinExpr(((0, F(2)),), F(2))
-    assert lin_subst(e, 5, repl) == e
-    assert lin_subst(LinExpr.variable(0), 0, repl) == repl
+    assert e.substitute(1, repl) == LinExpr(((0, F(2)),), F(2))
+    assert e.substitute(5, repl) == e
+    assert LinExpr.variable(0).substitute(0, repl) == repl
 
 
 def test_inequality_canonical_form():
@@ -79,25 +78,50 @@ def test_cond_holds_and_first_violated():
     lt_half = Inequality.from_linexpr(LinExpr.constant(F(1, 2)).subtract(x), strict=True)
     conds = [ge0, lt_half]
     assert cond_holds(conds, [F(1, 4)])
-    assert first_violated(conds, [F(1, 4)]) is None
+    assert _first_violated_sorted(make_conditions(conds), [F(1, 4)]) is None
     assert not cond_holds(conds, [F(1, 2)])
-    assert first_violated(conds, [F(1, 2)]) == lt_half
+    assert _first_violated_sorted(make_conditions(conds), [F(1, 2)]) == lt_half
     assert cond_holds([], [F(1, 2)])
+    # with several failing, the least in canonical order is reported
+    gt_3_4 = Inequality.from_linexpr(x.subtract(LinExpr.constant(F(3, 4))), strict=True)
+    both = make_conditions([ge0, lt_half, gt_3_4])
+    expected = min((lt_half, gt_3_4), key=Inequality.sort_key)
+    assert _first_violated_sorted(both, [F(1, 2)]) == expected
 
 
 def test_normalize_on_scaling_and_flip():
     two_x_le = Inequality.from_linexpr(
         LinExpr(((1, F(1)),), F(1)).subtract(LinExpr(((0, F(2)),), F(0))), strict=False
     )  # y + 1 - 2x >= 0  ->  x <= (y+1)/2
-    split = normalize_on([two_x_le], 0)
-    assert split.upper_nonstrict == [LinExpr(((1, F(1, 2)),), F(1, 2))]
+    assert normalize_on([two_x_le], 0) == ([LinExpr(((1, F(1, 2)),), F(1, 2))], [])
     neg = Inequality.from_linexpr(LinExpr(((0, F(1)),), F(1, 4)), strict=True)
     # x + 1/4 > 0  ->  x > -1/4
-    split2 = normalize_on([neg], 0)
-    assert split2.lower_strict == [LinExpr.constant(F(-1, 4))]
+    assert normalize_on([neg], 0) == ([], [LinExpr.constant(F(-1, 4))])
     untouched = Inequality.from_linexpr(LinExpr.variable(1), strict=False)
-    split3 = normalize_on([untouched], 0)
-    assert split3.residual == (untouched,) and not split3.uppers() and not split3.lowers()
+    assert normalize_on([untouched], 0) == ([], [])
+
+
+def test_normalize_on_candidate_order():
+    # uppers: non-strict before strict; lowers: strict before non-strict;
+    # within a group, the canonical order of the source inequalities
+    x = LinExpr.variable(0)
+
+    def bound_on_x(q, above, strict):
+        e = x.subtract(LinExpr.constant(q)) if above else LinExpr.constant(q).subtract(x)
+        return Inequality.from_linexpr(e, strict=strict)
+
+    conds = [
+        bound_on_x(F(1, 2), above=False, strict=True),  # x < 1/2
+        bound_on_x(F(1), above=False, strict=False),  # x <= 1
+        bound_on_x(F(3, 4), above=False, strict=False),  # x <= 3/4
+        bound_on_x(F(0), above=True, strict=False),  # x >= 0
+        bound_on_x(F(1, 4), above=True, strict=True),  # x > 1/4
+        bound_on_x(F(1, 8), above=True, strict=False),  # x >= 1/8
+    ]
+    # canonical order: x <= 3/4, x < 1/2, x <= 1, x >= 0, x > 1/4, x >= 1/8
+    uppers, lowers = normalize_on(conds, 0)
+    assert uppers == [LinExpr.constant(q) for q in (F(3, 4), F(1), F(1, 2))]
+    assert lowers == [LinExpr.constant(q) for q in (F(1, 4), F(0), F(1, 8))]
 
 
 # -- constructor cases ---------------------------------------------------------

@@ -86,6 +86,7 @@ def test_underlying_graph_and_deadlocks():
     g = underlying_graph(m)
     assert g.edges == frozenset({("s0", "s1"), ("s0", "s2"), ("s0", "s0")})
     assert g.successors("s1") == ()  # deadlocked iff no outgoing edge
+    assert g.successors("s0") == ("s0", "s1", "s2")
 
 
 def test_graph_monotone_in_transitions():

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,19 @@ from lmucheck import lmu, pctl, terms
 from lmucheck.checking import model_check_lmu
 from lmucheck.model import parse_model
 from lmucheck.parser import ParseError, parse_lmu, parse_pctl, parse_term
+
+
+def test_term_free_variables_deep_term():
+    t: terms.Term = terms.TVar("x")
+    for i in range(10_000):
+        t = terms.TOPlus(t, terms.TVar("y")) if i % 2 else terms.TMu("z", t)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter default; conftest raises it
+    try:
+        assert terms.term_free_variables(t) == frozenset({"x", "y"})
+        assert terms.term_free_variables(terms.TMu("x", t)) == frozenset({"y"})
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_parse_lmu_basic():
