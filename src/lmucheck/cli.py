@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from . import lmu, pctl, terms
 from .checking import CheckOutcome, model_check_lmu, model_check_pctl
+from .encoder import encode_pctl
 from .evaluator import (
     EvalError,
     InternalInvariantError,
@@ -30,7 +31,7 @@ from .model import ModelError, parse_model
 from .oracle import OracleError, SchedulerSpaceError, pctl_oracle, prob_operator_values
 from .parser import ParseError, parse_lmu, parse_pctl, parse_term
 from .rationals import RationalParseError, approx_decimal, format_rational, parse_rational
-from .translator import TranslationError, translate
+from .translator import TranslationError, translate_all
 
 RECURSION_LIMIT = 20_000
 
@@ -106,31 +107,25 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
-    phi = parse_pctl(args.pctl)
-    from .encoder import encode_pctl
-
-    print(lmu.render_lmu(encode_pctl(phi)))
+    print(lmu.render_lmu(encode_pctl(parse_pctl(args.pctl))))
     return 0
 
 
 def _cmd_translate(args: argparse.Namespace) -> int:
     m, interp = _load_model(args.model)
-    phi = parse_pctl(args.pctl) if args.pctl is not None else parse_lmu(args.lmu)
     if args.pctl is not None:
-        from .encoder import encode_pctl
-
-        formula = encode_pctl(phi)
+        formula = encode_pctl(parse_pctl(args.pctl))
     else:
-        formula = phi
+        formula = parse_lmu(args.lmu)
+    if args.state and args.state not in m.index:
+        raise ModelError(f"unknown state {args.state!r}")
     targets = (args.state,) if args.state else m.states
+    per_state = translate_all(formula, m, interp, targets)
     for s in targets:
-        if s not in m.index:
-            raise ModelError(f"unknown state {s!r}")
-        term = translate(formula, m, interp, s)
         if len(targets) == 1:
-            print(terms.render_term(term))
+            print(terms.render_term(per_state[s]))
         else:
-            print(f"{s}: {terms.render_term(term)}")
+            print(f"{s}: {terms.render_term(per_state[s])}")
     return 0
 
 
@@ -141,7 +136,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         name, eq, value = binding.partition("=")
         if not eq:
             raise EvalError(f"expected name=value, got {binding!r}")
-        point[name.strip()] = parse_rational(value)
+        name = name.strip()
+        if name in point:
+            raise EvalError(f"variable {name!r} is bound more than once")
+        point[name] = parse_rational(value)
     evaluator = TermEvaluator()
     result = evaluator.evaluate(term, point)
     print(format_rational(result.value))

@@ -2,7 +2,8 @@
 
 Formulas are immutable trees. `ONE` is the conventional constant `nu X.X`
 (value 1 everywhere), `ZERO` its dual, and `constant(q)` the scalar constant
-`q*1`. All coefficients are rationals in [0, 1].
+`q*1`. All coefficients are rationals in [0, 1]. The fixed-point terms of
+`terms` are the formulas without modalities, propositions or complements.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "ZERO",
     "ONE_VAR",
     "constant",
+    "free_name_map",
     "free_variables",
     "used_names",
     "fresh_names",
@@ -130,32 +132,52 @@ def constant(q: Fraction) -> Lmu:
 
 def subformulas(phi: Lmu) -> Iterator[Lmu]:
     """Depth-first pre-order walk, the formula itself included."""
-    yield phi
-    if isinstance(phi, Scalar):
-        yield from subformulas(phi.body)
-    elif isinstance(phi, (Join, Meet, OPlus, OTimes)):
-        yield from subformulas(phi.left)
-        yield from subformulas(phi.right)
-    elif isinstance(phi, (Diamond, Box)):
-        yield from subformulas(phi.body)
-    elif isinstance(phi, (Mu, Nu)):
-        yield from subformulas(phi.body)
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (Join, Meet, OPlus, OTimes)):
+            stack.append(node.right)
+            stack.append(node.left)
+        elif isinstance(node, (Scalar, Diamond, Box, Mu, Nu)):
+            stack.append(node.body)
+
+
+def free_name_map(root: Lmu) -> dict[int, tuple[str, ...]]:
+    """Sorted free variable names per node id; shared subformulas visited once."""
+    free: dict[int, tuple[str, ...]] = {}
+    stack: list[tuple[Lmu, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if id(node) in free:
+            continue
+        if isinstance(node, Var):
+            free[id(node)] = (node.name,)
+            continue
+        children: tuple[Lmu, ...]
+        if isinstance(node, (Join, Meet, OPlus, OTimes)):
+            children = (node.left, node.right)
+        elif isinstance(node, (Scalar, Diamond, Box, Mu, Nu)):
+            children = (node.body,)
+        elif isinstance(node, (Prop, CoProp)):
+            children = ()
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+        if not expanded:
+            stack.append((node, True))
+            stack.extend((c, False) for c in children)
+            continue
+        merged: set[str] = set()
+        for c in children:
+            merged.update(free[id(c)])
+        if isinstance(node, (Mu, Nu)):
+            merged.discard(node.var)
+        free[id(node)] = tuple(sorted(merged))
+    return free
 
 
 def free_variables(phi: Lmu) -> frozenset[str]:
-    if isinstance(phi, Var):
-        return frozenset({phi.name})
-    if isinstance(phi, (Prop, CoProp)):
-        return frozenset()
-    if isinstance(phi, Scalar):
-        return free_variables(phi.body)
-    if isinstance(phi, (Join, Meet, OPlus, OTimes)):
-        return free_variables(phi.left) | free_variables(phi.right)
-    if isinstance(phi, (Diamond, Box)):
-        return free_variables(phi.body)
-    if isinstance(phi, (Mu, Nu)):
-        return free_variables(phi.body) - {phi.var}
-    raise TypeError(f"not a formula: {phi!r}")
+    return frozenset(free_name_map(phi)[id(phi)])
 
 
 def used_names(phi: Lmu) -> set[str]:

@@ -369,23 +369,17 @@ def kleene_term(
     state = _KleeneState(budget=budget, fuel=fuel)
 
     def walk(node: terms.Term, env: dict[str, Fraction]) -> Fraction:
-        if isinstance(node, terms.TVar):
+        if isinstance(node, lmu.Var):
             try:
                 return env[node.name]
             except KeyError:
                 raise OracleError(f"point does not cover {node.name!r}") from None
-        if isinstance(node, terms.TScalar):
+        if isinstance(node, lmu.Scalar):
             return node.factor * walk(node.body, env)
-        if isinstance(node, terms.TJoin):
-            return max(walk(node.left, env), walk(node.right, env))
-        if isinstance(node, terms.TMeet):
-            return min(walk(node.left, env), walk(node.right, env))
-        if isinstance(node, terms.TOPlus):
-            return min(Fraction(1), walk(node.left, env) + walk(node.right, env))
-        if isinstance(node, terms.TOTimes):
-            return max(Fraction(0), walk(node.left, env) + walk(node.right, env) - 1)
-        if isinstance(node, (terms.TMu, terms.TNu)):
-            is_mu = isinstance(node, terms.TMu)
+        if isinstance(node, (lmu.Join, lmu.Meet, lmu.OPlus, lmu.OTimes)):
+            return _combine(node, walk(node.left, env), walk(node.right, env))
+        if isinstance(node, (lmu.Mu, lmu.Nu)):
+            is_mu = isinstance(node, lmu.Mu)
             seed = Fraction(0) if is_mu else Fraction(1)
             return state.run_loop(
                 is_mu,

@@ -1,6 +1,9 @@
-"""Hand-rolled tokenizers and recursive-descent parsers for the three grammars.
+"""Hand-rolled tokenizers and recursive-descent parsers: one for fixed-point
+formulas and terms, one for PCTL.
 
-Fixed-point formulas and terms share one token set:
+Terms are the modality-free, proposition-free fragment of the formulas, so
+one parser reads both; the term parser overrides only what differs.
+Formulas and terms share one token set:
 
     mu nu . <> [] \\/ /\\ (+) (.) ~ * ( ) rationals identifiers
 
@@ -138,6 +141,8 @@ def _unit_number(cur: _Cursor) -> Fraction:
 
 
 class _LmuParser:
+    _SCALAR_BODY = "phi"  # the operand named in the bare-rational message
+
     def __init__(self, text: str):
         self.cur = _Cursor(_tokenize(text, _FORMULA_SYMBOLS))
 
@@ -152,8 +157,7 @@ class _LmuParser:
     def binder(self, env: frozenset[str]) -> lmu.Lmu:
         tok = self.cur.next()
         name_tok = self.cur.eat_ident()
-        if name_tok.text in ("mu", "nu"):
-            raise ParseError(f"{name_tok.text} is a keyword, not a variable", name_tok.column)
+        self._check_bound_name(name_tok)
         name = name_tok.text
         self.cur.eat_sym(".")
         # a parenthesized body delimits the scope, otherwise it extends
@@ -165,6 +169,10 @@ class _LmuParser:
         else:
             body = self.formula(env | {name})
         return lmu.Mu(name, body) if tok.text == "mu" else lmu.Nu(name, body)
+
+    def _check_bound_name(self, tok: Token) -> None:
+        if tok.text in ("mu", "nu"):
+            raise ParseError(f"{tok.text} is a keyword, not a variable", tok.column)
 
     def join(self, env: frozenset[str]) -> lmu.Lmu:
         left = self.meet(env)
@@ -217,7 +225,10 @@ class _LmuParser:
                 return lmu.ONE
             if tok.text == "0":
                 return lmu.ZERO
-            raise ParseError(f"bare rational {tok.text}; only literals 0 and 1 (or q*phi)", tok.column)
+            raise ParseError(
+                f"bare rational {tok.text}; only literals 0 and 1 (or q*{self._SCALAR_BODY})",
+                tok.column,
+            )
         return self.atom(env)
 
     def atom(self, env: frozenset[str]) -> lmu.Lmu:
@@ -228,6 +239,10 @@ class _LmuParser:
             phi = self.formula(env)
             self.cur.eat_sym(")")
             return phi
+        return self.leaf(tok, env)
+
+    def leaf(self, tok: Token, env: frozenset[str]) -> lmu.Lmu:
+        """A complemented proposition or an identifier."""
         if tok.kind == "sym" and tok.text == "~":
             name = self.cur.eat_ident()
             if name.text in env:
@@ -252,94 +267,24 @@ def parse_lmu(text: str) -> lmu.Lmu:
 # -- terms ------------------------------------------------------------------
 
 
-class _TermParser:
-    def __init__(self, text: str):
-        self.cur = _Cursor(_tokenize(text, _FORMULA_SYMBOLS))
+class _TermParser(_LmuParser):
+    """The formula grammar without modalities, propositions or complements:
+    every identifier is a variable, free ones included."""
 
-    def parse(self) -> terms.Term:
-        t = self.term()
-        self.cur.done()
-        return t
+    _SCALAR_BODY = "t"
 
-    def term(self) -> terms.Term:
-        return self.join()
-
-    def binder(self) -> terms.Term:
-        tok = self.cur.next()
-        name = self.cur.eat_ident()
-        self._check_var(name)
-        self.cur.eat_sym(".")
-        if self.cur.at_sym("("):
-            self.cur.next()
-            body = self.term()
-            self.cur.eat_sym(")")
-        else:
-            body = self.term()
-        return terms.TMu(name.text, body) if tok.text == "mu" else terms.TNu(name.text, body)
-
-    @staticmethod
-    def _check_var(tok: Token) -> None:
-        if tok.text in ("mu", "nu"):
-            raise ParseError(f"{tok.text} is a keyword, not a variable", tok.column)
+    def _check_bound_name(self, tok: Token) -> None:
+        super()._check_bound_name(tok)
         if tok.text[0].isupper():
             raise ParseError(f"term variables start lowercase, got {tok.text!r}", tok.column)
 
-    def join(self) -> terms.Term:
-        left = self.meet()
-        while self.cur.at_sym("\\/"):
-            self.cur.next()
-            left = terms.TJoin(left, self.meet())
-        return left
+    def modal(self, env: frozenset[str]) -> lmu.Lmu:
+        return self.scalar(env)
 
-    def meet(self) -> terms.Term:
-        left = self.oplus()
-        while self.cur.at_sym("/\\"):
-            self.cur.next()
-            left = terms.TMeet(left, self.oplus())
-        return left
-
-    def oplus(self) -> terms.Term:
-        left = self.otimes()
-        while self.cur.at_sym("(+)"):
-            self.cur.next()
-            left = terms.TOPlus(left, self.otimes())
-        return left
-
-    def otimes(self) -> terms.Term:
-        left = self.scalar()
-        while self.cur.at_sym("(.)"):
-            self.cur.next()
-            left = terms.TOTimes(left, self.scalar())
-        return left
-
-    def scalar(self) -> terms.Term:
-        tok = self.cur.peek()
-        if tok.kind == "num":
-            self.cur.next()
-            if self.cur.at_sym("*"):
-                self.cur.next()
-                q = _number(tok)
-                if not (0 <= q <= 1):
-                    raise ParseError(f"coefficient {tok.text} outside [0, 1]", tok.column)
-                return terms.TScalar(q, self.scalar())
-            if tok.text == "1":
-                return terms.T_ONE
-            if tok.text == "0":
-                return terms.T_ZERO
-            raise ParseError(f"bare rational {tok.text}; only literals 0 and 1 (or q*t)", tok.column)
-        return self.atom()
-
-    def atom(self) -> terms.Term:
-        if self.cur.at_ident("mu") or self.cur.at_ident("nu"):
-            return self.binder()
-        tok = self.cur.next()
-        if tok.kind == "sym" and tok.text == "(":
-            t = self.term()
-            self.cur.eat_sym(")")
-            return t
+    def leaf(self, tok: Token, env: frozenset[str]) -> lmu.Lmu:
         if tok.kind == "ident":
-            self._check_var(tok)
-            return terms.TVar(tok.text)
+            self._check_bound_name(tok)
+            return lmu.Var(tok.text)
         raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.column)
 
 

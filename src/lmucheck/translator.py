@@ -67,22 +67,10 @@ def domination_relation(phi: lmu.Lmu) -> frozenset[tuple[int, int]]:
     """Pairs (i, j), i != j, where binder j occurs inside the body of binder i."""
     binders = index_binders(phi)
     pairs: set[tuple[int, int]] = set()
-
-    def walk(node: lmu.Lmu, open_indices: tuple[int, ...]) -> None:
-        if isinstance(node, (lmu.Mu, lmu.Nu)):
-            j = binders.index_of[node.var]
-            for i in open_indices:
-                pairs.add((i, j))
-            walk(node.body, open_indices + (j,))
-        elif isinstance(node, lmu.Scalar):
-            walk(node.body, open_indices)
-        elif isinstance(node, (lmu.Join, lmu.Meet, lmu.OPlus, lmu.OTimes)):
-            walk(node.left, open_indices)
-            walk(node.right, open_indices)
-        elif isinstance(node, (lmu.Diamond, lmu.Box)):
-            walk(node.body, open_indices)
-
-    walk(phi, ())
+    for i, body in enumerate(binders.bodies, start=1):
+        for sub in lmu.subformulas(body):
+            if isinstance(sub, (lmu.Mu, lmu.Nu)):
+                pairs.add((i, binders.index_of[sub.var]))
     return frozenset(pairs)
 
 
@@ -142,8 +130,10 @@ def translate_all(
     # free variables plus, transitively, those of every body it can expand
     # into. Restricting the memo key to these entries lets translations of
     # closed subformulas be shared across contexts and states.
+    free_names = lmu.free_name_map(phi)
+
     def free_indices(node: lmu.Lmu) -> frozenset[int]:
-        return frozenset(binders.index_of[v] for v in lmu.free_variables(node))
+        return frozenset(binders.index_of[v] for v in free_names[id(node)])
 
     dep = {i: free_indices(binders.bodies[i - 1]) for i in range(1, binders.count + 1)}
     reach = {i: set(dep[i]) for i in dep}
@@ -208,13 +198,8 @@ def translate_all(
         elif isinstance(node, lmu.Scalar):
             result = terms.TScalar(node.factor, walk(node.body, gamma, s))
         elif isinstance(node, (lmu.Join, lmu.Meet, lmu.OPlus, lmu.OTimes)):
-            pairing = {
-                lmu.Join: terms.TJoin,
-                lmu.Meet: terms.TMeet,
-                lmu.OPlus: terms.TOPlus,
-                lmu.OTimes: terms.TOTimes,
-            }[type(node)]
-            result = pairing(walk(node.left, gamma, s), walk(node.right, gamma, s))
+            # the connective carries over to the term unchanged
+            result = type(node)(walk(node.left, gamma, s), walk(node.right, gamma, s))
         elif isinstance(node, lmu.Diamond):
             dists = m.distributions(s)
             if not dists:
@@ -238,8 +223,7 @@ def translate_all(
         elif isinstance(node, (lmu.Mu, lmu.Nu)):
             i = binders.index_of[node.var]
             body = walk(node.body, gamma | {(i, s)}, s)
-            cls = terms.TMu if isinstance(node, lmu.Mu) else terms.TNu
-            result = cls(term_var(i, s), body)
+            result = type(node)(term_var(i, s), body)
         else:
             raise TypeError(f"not a formula: {node!r}")
         memo[key] = result

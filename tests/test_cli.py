@@ -90,6 +90,18 @@ def test_eval_with_point_and_conditions(capsys):
     assert any("cond:" in line for line in lines[2:])
 
 
+def test_eval_refuses_repeated_binding(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the term was evaluated")
+
+    monkeypatch.setattr(cli.TermEvaluator, "evaluate", no_work)
+    code, out, err = run(
+        capsys, "eval", "--term", "x (+) y", "--at", "x=1/2", "--at", " x =1/3", "--at", "y=1/4"
+    )
+    assert code == 1 and out == ""
+    assert err == "error: variable 'x' is bound more than once\n"
+
+
 def test_encode_prints_formula(capsys):
     code, out, _ = run(capsys, "encode", "--pctl", "E X P")
     assert code == 0
@@ -102,6 +114,23 @@ def test_translate_prints_term(capsys, model_file):
     )
     assert code == 0
     assert out.strip() == "1/2*0*1 (+) 1/2*1*1"
+
+
+def test_translate_all_states(capsys, model_file):
+    code, out, _ = run(capsys, "translate", "--model", model_file, "--lmu", "mu X. (P \\/ <>X)")
+    assert code == 0
+    assert out.splitlines() == [
+        "s0: mu x_1@s0. (0*1 \\/ 1/2*x_1@s0 (+) 1/2*mu x_1@s1. (1*1 \\/ 0*1))",
+        "s1: mu x_1@s1. (1*1 \\/ 0*1)",
+    ]
+
+
+def test_translate_unknown_state(capsys, model_file):
+    code, out, err = run(
+        capsys, "translate", "--model", model_file, "--lmu", "<>P", "--state", "s9"
+    )
+    assert code == 1 and out == ""
+    assert err == "error: unknown state 's9'\n"
 
 
 def test_oracle_subcommand(capsys, model_file):

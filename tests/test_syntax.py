@@ -15,13 +15,66 @@ def test_term_free_variables_deep_term():
     t: terms.Term = terms.TVar("x")
     for i in range(10_000):
         t = terms.TOPlus(t, terms.TVar("y")) if i % 2 else terms.TMu("z", t)
+    phi: lmu.Lmu = lmu.Var("x")
+    wrappers = (
+        lambda f: lmu.Mu("z", f),
+        lmu.Diamond,
+        lambda f: lmu.OPlus(f, lmu.Prop("P")),
+        lmu.Box,
+    )
+    for i in range(10_000):
+        phi = wrappers[i % 4](phi)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # the interpreter default; conftest raises it
     try:
         assert terms.term_free_variables(t) == frozenset({"x", "y"})
         assert terms.term_free_variables(terms.TMu("x", t)) == frozenset({"y"})
+        assert lmu.free_variables(phi) == frozenset({"x"})
+        assert lmu.free_variables(lmu.Nu("x", phi)) == frozenset()
+        assert lmu.used_names(phi) == {"x", "z", "P"}
+        subs = list(lmu.subformulas(phi))
     finally:
         sys.setrecursionlimit(limit)
+    assert len(subs) == 10_001 + 2_500  # every wrapper plus the innermost x, and each P
+    assert subs[0] is phi and subs[-1] == lmu.Prop("P")
+
+
+def test_subformulas_pre_order():
+    x, p, y = lmu.Var("X"), lmu.Prop("P"), lmu.Var("Y")
+    mu = lmu.Mu("X", lmu.Diamond(x))
+    nu = lmu.Nu("Y", lmu.Scalar(Fraction(1, 2), y))
+    meet = lmu.Meet(p, nu)
+    phi = lmu.Join(mu, meet)
+    assert list(lmu.subformulas(phi)) == [
+        phi, mu, mu.body, x, meet, p, nu, nu.body, y
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("X", "column 1: term variables start lowercase, got 'X'"),
+        ("mu X. x", "column 4: term variables start lowercase, got 'X'"),
+        ("mu mu. x", "column 4: mu is a keyword, not a variable"),
+        ("<>x", "column 1: unexpected '<>'"),
+        ("1/2*[]x", "column 5: unexpected '[]'"),
+        ("~x", "column 1: unexpected '~'"),
+        ("1/2", "column 1: bare rational 1/2; only literals 0 and 1 (or q*t)"),
+        ("x (+) y)", "column 8: unexpected trailing input ')'"),
+        ("x $", "column 3: unexpected character '$'"),
+        ("mu x. (x", "column 9: expected ')', found 'end of input'"),
+    ],
+)
+def test_parse_term_errors(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_term(text)
+    assert str(info.value) == message
+
+
+def test_terms_are_formulas():
+    text = "mu x. (x (+) 1/2*1)"
+    assert parse_term(text) == parse_lmu(text)
+    assert parse_term("nu y. (y /\\ 0 \\/ 1)") == parse_lmu("nu y. (y /\\ 0 \\/ 1)")
 
 
 def test_parse_lmu_basic():

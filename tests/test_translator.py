@@ -159,3 +159,13 @@ def test_translate_all_shares_subterms():
     per_state = translate_all(phi, m, interp)
     assert set(per_state) == {"s0", "s1"}
     assert per_state["s0"] == translate(phi, m, interp, "s0")
+    # `lmucheck translate` prints translate_all's terms; one memo shared by
+    # all states must not change any state's term
+    rng = random.Random(79)
+    for _ in range(40):
+        m = rand_model(rng, max_states=3, max_dists=2)
+        interp = rand_interp(rng, m)
+        phi = rand_lmu(rng, depth=3)
+        per_state = translate_all(phi, m, interp)
+        for s in m.states:
+            assert per_state[s] == translate(phi, m, interp, s)
