@@ -2,11 +2,12 @@
 
 Subcommands: `check` runs the full pipeline on a model file and a formula,
 `encode` prints the fixed-point encoding of a PCTL formula, `translate`
-prints per-state terms, `eval` evaluates a term at a point, and `oracle`
-runs the brute-force PCTL checker. Values print as exact rationals; decimal
-approximations are opt-in and marked with `~`. Exit codes: 0 success, 1
-input error (including nesting beyond the recursion limit), 2 internal
-invariant failure or any other unexpected exception.
+prints the per-state terms with constants folded, `eval` evaluates a term
+at a point, and `oracle` runs the brute-force PCTL checker. Values print as
+exact rationals; decimal approximations are opt-in and marked with `~`.
+Exit codes: 0 success, 1 input error (including nesting beyond the
+recursion limit), 2 internal invariant failure or any other unexpected
+exception.
 """
 
 from __future__ import annotations

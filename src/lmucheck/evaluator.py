@@ -260,8 +260,8 @@ class TermEvaluator:
         self._range_cache: dict[int, tuple[Inequality, ...]] = {}
 
     def evaluate(self, term: terms.Term, point: Mapping[str, Fraction]) -> EvalResult:
-        self._roots.append(term)
-        self._free.update(terms.free_name_map(term))
+        self._roots.append(term)  # keeps the ids in `_free` unique
+        terms.extend_free_name_map(self._free, term)
         missing = set(self._free[id(term)]) - set(point)
         if missing:
             raise EvalError(f"point does not cover variables {sorted(missing)}")

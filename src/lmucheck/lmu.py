@@ -33,6 +33,7 @@ __all__ = [
     "ONE_VAR",
     "constant",
     "free_name_map",
+    "extend_free_name_map",
     "free_variables",
     "used_names",
     "fresh_names",
@@ -146,6 +147,16 @@ def subformulas(phi: Lmu) -> Iterator[Lmu]:
 def free_name_map(root: Lmu) -> dict[int, tuple[str, ...]]:
     """Sorted free variable names per node id; shared subformulas visited once."""
     free: dict[int, tuple[str, ...]] = {}
+    extend_free_name_map(free, root)
+    return free
+
+
+def extend_free_name_map(free: dict[int, tuple[str, ...]], root: Lmu) -> None:
+    """Add the nodes of `root` to a free-name map, skipping ids it holds.
+
+    The caller keeps every mapped node alive, so an id it holds still names
+    the node it was mapped for.
+    """
     stack: list[tuple[Lmu, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
@@ -173,7 +184,6 @@ def free_name_map(root: Lmu) -> dict[int, tuple[str, ...]]:
         if isinstance(node, (Mu, Nu)):
             merged.discard(node.var)
         free[id(node)] = tuple(sorted(merged))
-    return free
 
 
 def free_variables(phi: Lmu) -> frozenset[str]:

@@ -23,6 +23,7 @@ from .lmu import (
     Scalar as TScalar,
     Var as TVar,
     constant as tconst,
+    extend_free_name_map,
     free_name_map,
     free_variables as term_free_variables,
     render_lmu as render_term,
@@ -42,6 +43,7 @@ __all__ = [
     "T_ZERO",
     "tconst",
     "free_name_map",
+    "extend_free_name_map",
     "term_free_variables",
     "render_term",
 ]

@@ -9,6 +9,30 @@ it), and the modalities expand into joins/meets over the available
 distributions of truncated-sum convex combinations. Re-expansion can bind
 the same `x_i@s` at several places, including shadowed nesting; the
 evaluator scopes term variables lexically, so this is sound.
+
+The walk builds terms through folding constructors, so a constant subterm
+is never built as anything but one interned `tconst(q)` node per value.
+Every term denotes a value in [0, 1], which makes each rule exact:
+
+- two constant operands of `\\/ /\\ (+) (.)` fold to the constant their
+  connective computes (max, min, min(1, a+b), max(0, a+b-1));
+- `1 \\/ t` and `1 (+) t` are 1, `0 /\\ t` and `0 (.) t` are 0, either side:
+  max(1, t) = min(1, 1+t) = 1 and min(0, t) = max(0, t-1) = 0 on [0, 1];
+- `0 \\/ t`, `0 (+) t`, `1 /\\ t` and `1 (.) t` are t, either side:
+  max(0, t), min(1, 0+t), min(1, t) and max(0, 1+t-1) all equal t on [0, 1];
+- `0*t` is 0, `1*t` is t and `q*c` is the constant qc, by arithmetic;
+- a binder whose body is a constant c is c, the only fixed point of a
+  constant map; `mu x. x` is 0 and `nu x. x` is 1, the least and greatest
+  fixed points of the identity;
+- propositions, co-propositions, deadlocked modalities (the empty join is
+  0, the empty meet 1) and the per-distribution sums use the same rules.
+
+Short-circuit: when the left operand of `\\/`/`(+)` folds to 1, or that of
+`/\\`/`(.)` to 0, or a formula scalar is 0, the other operand is not walked,
+since the rules above decide the result without it; a modality's join,
+meet or sum likewise stops at the first distribution or successor that
+decides it. In the PCTL encodings `mu T. (P2 \\/ P1 /\\ ...)` this stops the
+re-expansion at states where the formula is already decided.
 """
 
 from __future__ import annotations
@@ -160,20 +184,86 @@ def translate_all(
             relevant_cache[node] = rel
         return rel
 
+    # Constant folding. Each value gets one interned `tconst` node per call,
+    # and `value_of` maps node ids to values, so testing for a constant is a
+    # dict lookup and the absorbing/neutral tests are identity checks.
+    interned: dict[Fraction, terms.Term] = {}
+    value_of: dict[int, Fraction] = {}
+
+    def const(q: Fraction) -> terms.Term:
+        node = interned.get(q)
+        if node is None:
+            node = interned[q] = terms.tconst(q)
+            value_of[id(node)] = q
+        return node
+
+    one, zero = const(Fraction(1)), const(Fraction(0))
+    absorbing = {terms.TJoin: one, terms.TOPlus: one, terms.TMeet: zero, terms.TOTimes: zero}
+    neutral = {terms.TJoin: zero, terms.TOPlus: zero, terms.TMeet: one, terms.TOTimes: one}
+    fold = {
+        terms.TJoin: max,
+        terms.TMeet: min,
+        terms.TOPlus: lambda a, b: min(Fraction(1), a + b),
+        terms.TOTimes: lambda a, b: max(Fraction(0), a + b - 1),
+    }
+
+    def combine(cls: type, left: terms.Term, right: terms.Term) -> terms.Term:
+        if left is absorbing[cls] or right is absorbing[cls]:
+            return absorbing[cls]
+        if left is neutral[cls]:
+            return right
+        if right is neutral[cls]:
+            return left
+        a, b = value_of.get(id(left)), value_of.get(id(right))
+        if a is not None and b is not None:
+            return const(fold[cls](a, b))
+        return cls(left, right)
+
+    def scale(q: Fraction, body: terms.Term) -> terms.Term:
+        if q == 1:
+            return body
+        v = value_of.get(id(body))
+        if v is not None:
+            return const(q * v)
+        return terms.TScalar(q, body)
+
+    def bind(cls: type, var: str, body: terms.Term) -> terms.Term:
+        if id(body) in value_of:
+            return body
+        if isinstance(body, terms.TVar) and body.name == var:
+            return zero if cls is terms.TMu else one
+        return cls(var, body)
+
     memo: dict[tuple[lmu.Lmu, frozenset[tuple[int, str]], str], terms.Term] = {}
     steps = [0]
 
     def expand(i: int, gamma: frozenset[tuple[int, str]], s: str) -> terms.Term:
         body = walk(binders.bodies[i - 1], gamma, s)
         cls = terms.TMu if binders.kinds[i - 1] == "mu" else terms.TNu
-        return cls(term_var(i, s), body)
+        return bind(cls, term_var(i, s), body)
 
     def modal_sum(d, sub: lmu.Lmu, gamma: frozenset[tuple[int, str]]) -> terms.Term:
         acc: terms.Term | None = None
         for target, weight in d.entries:
-            piece = terms.TScalar(weight, walk(sub, gamma, target))
-            acc = piece if acc is None else terms.TOPlus(acc, piece)
+            piece = scale(weight, walk(sub, gamma, target))
+            acc = piece if acc is None else combine(terms.TOPlus, acc, piece)
+            if acc is one:
+                break
         assert acc is not None, "distributions have nonempty support"
+        return acc
+
+    def modal(
+        cls: type, node: lmu.Diamond | lmu.Box, gamma: frozenset[tuple[int, str]], s: str
+    ) -> terms.Term:
+        dists = m.distributions(s)
+        if not dists:  # the empty join is 0, the empty meet 1
+            return neutral[cls]
+        acc: terms.Term | None = None
+        for d in dists:
+            piece = modal_sum(d, node.body, gamma)
+            acc = piece if acc is None else combine(cls, acc, piece)
+            if acc is absorbing[cls]:
+                break
         return acc
 
     def walk(node: lmu.Lmu, gamma: frozenset[tuple[int, str]], s: str) -> terms.Term:
@@ -192,38 +282,29 @@ def translate_all(
             else:
                 result = expand(i, gamma_step(gamma, i, s, dominates), s)
         elif isinstance(node, lmu.Prop):
-            result = terms.tconst(interp.value(node.name, s))
+            result = const(interp.value(node.name, s))
         elif isinstance(node, lmu.CoProp):
-            result = terms.tconst(Fraction(1) - interp.value(node.name, s))
+            result = const(1 - interp.value(node.name, s))
         elif isinstance(node, lmu.Scalar):
-            result = terms.TScalar(node.factor, walk(node.body, gamma, s))
+            # 0*t is decided without walking t
+            result = zero if node.factor == 0 else scale(node.factor, walk(node.body, gamma, s))
         elif isinstance(node, (lmu.Join, lmu.Meet, lmu.OPlus, lmu.OTimes)):
-            # the connective carries over to the term unchanged
-            result = type(node)(walk(node.left, gamma, s), walk(node.right, gamma, s))
+            # the connective carries over to the term unchanged; a left
+            # operand that decides it leaves the right one unwalked
+            cls = type(node)
+            left = walk(node.left, gamma, s)
+            if left is absorbing[cls]:
+                result = left
+            else:
+                result = combine(cls, left, walk(node.right, gamma, s))
         elif isinstance(node, lmu.Diamond):
-            dists = m.distributions(s)
-            if not dists:
-                result = terms.tconst(Fraction(0))
-            else:
-                acc: terms.Term | None = None
-                for d in dists:
-                    piece = modal_sum(d, node.body, gamma)
-                    acc = piece if acc is None else terms.TJoin(acc, piece)
-                result = acc
+            result = modal(terms.TJoin, node, gamma, s)
         elif isinstance(node, lmu.Box):
-            dists = m.distributions(s)
-            if not dists:
-                result = terms.tconst(Fraction(1))
-            else:
-                acc = None
-                for d in dists:
-                    piece = modal_sum(d, node.body, gamma)
-                    acc = piece if acc is None else terms.TMeet(acc, piece)
-                result = acc
+            result = modal(terms.TMeet, node, gamma, s)
         elif isinstance(node, (lmu.Mu, lmu.Nu)):
             i = binders.index_of[node.var]
             body = walk(node.body, gamma | {(i, s)}, s)
-            result = type(node)(term_var(i, s), body)
+            result = bind(type(node), term_var(i, s), body)
         else:
             raise TypeError(f"not a formula: {node!r}")
         memo[key] = result

@@ -30,21 +30,58 @@ def rand_model(
     for s in states:
         dists: list[Distribution] = []
         for _ in range(rng.randint(0, max_dists)):
-            size = rng.randint(1, min(n, max_den))
-            support = rng.sample(states, size)
-            den = rng.randint(size, max_den)
-            cuts = sorted(rng.sample(range(1, den), size - 1)) if size > 1 else []
-            edges = [0] + cuts + [den]
-            weights = {
-                t: Fraction(b - a, den)
-                for t, a, b in zip(support, edges, edges[1:])
-            }
-            d = Distribution.from_dict(weights, order)
+            d = rand_distribution(rng, states, order, min(n, max_den), max_den)
             if d not in dists:
                 dists.append(d)
         if dists:
             transitions[s] = tuple(dists)
     return Pnts(states, transitions)
+
+
+def rand_distribution(
+    rng: random.Random, states, order, max_support: int, max_den: int
+) -> Distribution:
+    size = rng.randint(1, max_support)
+    support = rng.sample(states, size)
+    den = rng.randint(size, max_den)
+    cuts = sorted(rng.sample(range(1, den), size - 1)) if size > 1 else []
+    edges = [0] + cuts + [den]
+    weights = {t: Fraction(b - a, den) for t, a, b in zip(support, edges, edges[1:])}
+    return Distribution.from_dict(weights, order)
+
+
+def rand_model_exact(
+    rng: random.Random,
+    n_states: int,
+    n_dists: int = 2,
+    max_support: int = 2,
+    max_den: int = 8,
+) -> Pnts:
+    """Exactly `n_states` states, each with exactly `n_dists` distinct
+    distributions of support at most `max_support`."""
+    states = tuple(f"s{i}" for i in range(n_states))
+    order = {s: i for i, s in enumerate(states)}
+    transitions: dict[str, tuple[Distribution, ...]] = {}
+    for s in states:
+        dists: list[Distribution] = []
+        while len(dists) < n_dists:
+            d = rand_distribution(rng, states, order, min(n_states, max_support), max_den)
+            if d not in dists:
+                dists.append(d)
+        transitions[s] = tuple(dists)
+    return Pnts(states, transitions)
+
+
+def term_dag(roots) -> list[terms.Term]:
+    """Distinct term nodes reachable from the roots, each once."""
+    seen: dict[int, terms.Term] = {}
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(getattr(node, a) for a in ("body", "left", "right") if hasattr(node, a))
+    return list(seen.values())
 
 
 def rand_bool_interp(rng: random.Random, m: Pnts, props=PROPS) -> Interpretation:

@@ -6,6 +6,7 @@ are asserted. Randomized corpora use fixed seeds, so runs are reproducible.
 
 import json
 import random
+import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -16,17 +17,20 @@ from generators import (
     rand_interp,
     rand_lmu,
     rand_model,
+    rand_model_exact,
     rand_pctl,
     rand_point,
     satisfying_samples,
+    term_dag,
 )
-from lmucheck import lmu, terms
+from lmucheck import lmu, pctl, terms
 from lmucheck.checking import model_check_lmu, model_check_pctl
 from lmucheck.cli import main as cli_main
+from lmucheck.encoder import encode_pctl
 from lmucheck.evaluator import LinExpr, cond_holds, eval_term
 from lmucheck.oracle import direct_value, kleene_term, pctl_oracle
 from lmucheck.parser import parse_term
-from lmucheck.translator import translate
+from lmucheck.translator import translate, translate_all
 
 F = Fraction
 
@@ -114,6 +118,34 @@ def test_pctl_differential_against_oracle():
             for s in m.states:
                 assert pipeline[s] in (F(0), F(1)), (case, s)
                 assert pipeline[s] == (F(1) if verdict[s] else F(0)), (case, s)
+
+
+def test_pctl_until_ladder_on_exact_size_models():
+    """The regression markers of unfolded translation: `E`/`A [P1 U P2]` at
+    8, 16 and 32 states and `Pmax>=q [P1 U P2]` at 8, on boolean models with
+    exactly two distributions per state, through the library API at the
+    interpreter's default recursion limit."""
+    rng = random.Random(2024)
+    p1, p2 = pctl.Prop("P1"), pctl.Prop("P2")
+    until = pctl.Until(p1, p2)
+    ladder = [(n, q) for n in (8, 16, 32) for q in (pctl.Exists(until), pctl.Forall(until))]
+    ladder += [(8, pctl.ProbExists(False, F(k, 8), until)) for k in (1, 4, 7)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter default; conftest raises it
+    try:
+        with criterion("PCTL until ladder on exact-size models", 60.0):
+            for n, phi in ladder:
+                for case in range(5):
+                    m = rand_model_exact(rng, n)
+                    interp = rand_bool_interp(rng, m)
+                    pipeline = model_check_pctl(phi, m, interp).values
+                    verdict = pctl_oracle(phi, m, interp)
+                    for s in m.states:
+                        assert pipeline[s] == (F(1) if verdict[s] else F(0)), (n, case, s)
+                    per_state = translate_all(encode_pctl(phi), m, interp)
+                    assert len(term_dag(per_state.values())) <= 1000, (n, case)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_fixed_point_free_translation_matches_direct_semantics():

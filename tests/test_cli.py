@@ -113,16 +113,23 @@ def test_translate_prints_term(capsys, model_file):
         capsys, "translate", "--model", model_file, "--lmu", "<>P", "--state", "s0"
     )
     assert code == 0
-    assert out.strip() == "1/2*0*1 (+) 1/2*1*1"
+    # the folded term: 1/2*0*1 (+) 1/2*1*1 folds to the constant 1/2
+    assert out.strip() == "1/2*1"
+    assert run(capsys, "eval", "--term", out.strip())[1] == "1/2\n"
 
 
 def test_translate_all_states(capsys, model_file):
     code, out, _ = run(capsys, "translate", "--model", model_file, "--lmu", "mu X. (P \\/ <>X)")
     assert code == 0
+    # folded: P = 0 at s0 leaves `<>X`, P = 1 at s1 decides the binder
     assert out.splitlines() == [
-        "s0: mu x_1@s0. (0*1 \\/ 1/2*x_1@s0 (+) 1/2*mu x_1@s1. (1*1 \\/ 0*1))",
-        "s1: mu x_1@s1. (1*1 \\/ 0*1)",
+        "s0: mu x_1@s0. (1/2*x_1@s0 (+) 1/2*1)",
+        "s1: 1*1",
     ]
+    _, checked, _ = run(capsys, "check", "--model", model_file, "--lmu", "mu X. (P \\/ <>X)")
+    for line, value in zip(out.splitlines(), checked.splitlines()):
+        state, term = line.split(": ")
+        assert f"{state} = {run(capsys, 'eval', '--term', term)[1]}" == value + "\n"
 
 
 def test_translate_unknown_state(capsys, model_file):

@@ -39,6 +39,19 @@ def test_term_free_variables_deep_term():
     assert subs[0] is phi and subs[-1] == lmu.Prop("P")
 
 
+def test_extend_free_name_map_skips_mapped_nodes():
+    shared = terms.TJoin(terms.TVar("x"), terms.TVar("y"))
+    first = terms.TMu("x", shared)  # held: ids in the map must stay unique
+    free: dict[int, tuple[str, ...]] = {}
+    terms.extend_free_name_map(free, first)
+    assert free[id(shared)] == ("x", "y")
+    # a node already in the map is not walked again: its entry stands
+    free[id(shared)] = ("z",)
+    second = terms.TScalar(Fraction(1, 2), shared)
+    terms.extend_free_name_map(free, second)
+    assert free[id(second)] == ("z",)
+
+
 def test_subformulas_pre_order():
     x, p, y = lmu.Var("X"), lmu.Prop("P"), lmu.Var("Y")
     mu = lmu.Mu("X", lmu.Diamond(x))

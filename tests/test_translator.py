@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from generators import rand_interp, rand_lmu, rand_model
+from generators import rand_interp, rand_lmu, rand_model, term_dag
 from lmucheck import lmu, terms
+from lmucheck.checking import model_check_lmu
 from lmucheck.evaluator import eval_closed
 from lmucheck.model import parse_model
 from lmucheck.oracle import direct_value, kleene_lmu
@@ -16,6 +17,7 @@ from lmucheck.translator import (
     index_binders,
     term_var,
     translate,
+    translate_all,
 )
 
 F = Fraction
@@ -62,11 +64,8 @@ def test_gamma_step():
 def test_translate_diamond_expectation():
     m, interp = parse_model(COIN)
     t = translate(parse_lmu("<>P"), m, interp, "s0")
-    expected = terms.TOPlus(
-        terms.TScalar(F(1, 2), terms.tconst(F(0))),
-        terms.TScalar(F(1, 2), terms.tconst(F(1))),
-    )
-    assert t == expected
+    # 1/2*0 (+) 1/2*1 folds to the constant 1/2
+    assert t == terms.tconst(F(1, 2))
     assert eval_closed(t) == F(1, 2)
 
 
@@ -154,8 +153,6 @@ def test_translation_step_cap():
 def test_translate_all_shares_subterms():
     m, interp = parse_model(COIN)
     phi = parse_lmu("mu X. (P \\/ <>X)")
-    from lmucheck.translator import translate_all
-
     per_state = translate_all(phi, m, interp)
     assert set(per_state) == {"s0", "s1"}
     assert per_state["s0"] == translate(phi, m, interp, "s0")
@@ -169,3 +166,142 @@ def test_translate_all_shares_subterms():
         per_state = translate_all(phi, m, interp)
         for s in m.states:
             assert per_state[s] == translate(phi, m, interp, s)
+
+
+# s has two distributions, d is deadlocked; `No` is 0 and `Yes` 1 everywhere
+FOLD = """
+state s d
+prop A = { s: 1/3, d: 1/3 }
+prop B = { s: 1/2, d: 1/2 }
+prop C = { s: 3/4 }
+prop No = { s: 0, d: 0 }
+prop Yes = { s: 1, d: 1 }
+trans s -> { s: 1/2, d: 1/2 }
+trans s -> { d: 1 }
+"""
+
+X_S = terms.TVar(term_var(1, "s"))
+HALF_X = terms.TMu(term_var(1, "s"), terms.TScalar(F(1, 2), X_S))  # mu x. 1/2*x
+
+
+@pytest.mark.parametrize(
+    "text, state, expected",
+    [
+        # both operands constant: max, min, min(1, a+b), max(0, a+b-1)
+        ("A \\/ C", "s", F(3, 4)),
+        ("A /\\ C", "s", F(1, 3)),
+        ("A (+) B", "s", F(5, 6)),
+        ("B (+) C", "s", F(1)),
+        ("B (.) C", "s", F(1, 4)),
+        ("A (.) B", "s", F(0)),
+        # absorbing elements, constant on either side
+        ("mu X. (Yes \\/ 1/2*X)", "s", F(1)),
+        ("mu X. (1/2*X \\/ Yes)", "s", F(1)),
+        ("mu X. (Yes (+) 1/2*X)", "s", F(1)),
+        ("mu X. (1/2*X (+) Yes)", "s", F(1)),
+        ("nu X. (No /\\ 1/2*X)", "s", F(0)),
+        ("nu X. (1/2*X /\\ No)", "s", F(0)),
+        ("nu X. (No (.) 1/2*X)", "s", F(0)),
+        ("nu X. (1/2*X (.) No)", "s", F(0)),
+        # neutral elements, constant on either side
+        ("mu X. (No \\/ 1/2*X)", "s", HALF_X),
+        ("mu X. (1/2*X \\/ No)", "s", HALF_X),
+        ("mu X. (No (+) 1/2*X)", "s", HALF_X),
+        ("mu X. (1/2*X (+) No)", "s", HALF_X),
+        ("mu X. (Yes /\\ 1/2*X)", "s", HALF_X),
+        ("mu X. (1/2*X /\\ Yes)", "s", HALF_X),
+        ("mu X. (Yes (.) 1/2*X)", "s", HALF_X),
+        ("mu X. (1/2*X (.) Yes)", "s", HALF_X),
+        # scalars: 0*t, 1*t, q*c
+        ("0*A", "s", F(0)),
+        ("nu X. 0*X", "s", F(0)),
+        ("mu X. 1*(1/2*X)", "s", HALF_X),
+        ("1/2*C", "s", F(3, 8)),
+        # binders: constant body, mu x.x and nu x.x
+        ("mu X. B", "s", F(1, 2)),
+        ("nu X. (A (+) B)", "s", F(5, 6)),
+        ("mu X. X", "s", F(0)),
+        ("nu X. X", "s", F(1)),
+        # co-propositions, deadlocked modalities and per-distribution sums
+        ("~A", "s", F(2, 3)),
+        ("<>A", "d", F(0)),
+        ("[]A", "d", F(1)),
+        ("<>A", "s", F(1, 3)),
+        ("[]C", "s", F(0)),
+        ("<>C", "s", F(3, 8)),
+        ("[]~C", "s", F(5, 8)),
+    ],
+)
+def test_fold_rules(text, state, expected):
+    m, interp = parse_model(FOLD)
+    phi = parse_lmu(text)
+    t = translate(phi, m, interp, state)
+    if isinstance(expected, terms.Term):
+        assert t == expected
+    else:
+        assert t == terms.tconst(expected)
+    if any(isinstance(n, (lmu.Mu, lmu.Nu)) for n in lmu.subformulas(phi)):
+        outcome = kleene_lmu(phi, m, interp, budget=300)
+        assert outcome.stabilized
+        assert eval_closed(t) == outcome.value[state]
+    else:
+        assert eval_closed(t) == direct_value(phi, m, interp)[state]
+
+
+def test_short_circuit_skips_the_decided_operand():
+    m, interp = parse_model(
+        "state s0 s1\nprop P = { s0: 1, s1: 0 }\n"
+        "trans s0 -> { s1: 1 }\ntrans s1 -> { s0: 1 }\n"
+    )
+    # P = 1 at s0 decides the join: the binder, the join and P are all the
+    # walk visits, while <>X would re-expand the binder at s1
+    decided = parse_lmu("mu X. (P \\/ <>X)")
+    assert translate(decided, m, interp, "s0", max_steps=3) == terms.tconst(F(1))
+    swapped = parse_lmu("mu X. (<>X \\/ P)")
+    with pytest.raises(TranslationError, match="steps"):
+        translate(swapped, m, interp, "s0", max_steps=3)
+    assert translate(swapped, m, interp, "s0") == terms.tconst(F(1))
+
+
+def is_constant(node) -> bool:
+    return isinstance(node, terms.TScalar) and node.body is terms.T_ONE
+
+
+def assert_fully_folded(per_state) -> None:
+    """No node of the translation matches a fold rule, and each constant
+    value has one node."""
+    nodes = term_dag(per_state.values())
+    values = {}
+    for n in nodes:
+        if is_constant(n):
+            assert values.setdefault(n.factor, n) is n, n
+        elif n is terms.T_ONE:
+            continue  # the body of every constant
+        elif isinstance(n, terms.TScalar):
+            assert n.factor not in (0, 1) and not is_constant(n.body), n
+        elif isinstance(n, (terms.TJoin, terms.TMeet, terms.TOPlus, terms.TOTimes)):
+            for side in (n.left, n.right):
+                assert not (is_constant(side) and side.factor in (0, 1)), n
+            assert not (is_constant(n.left) and is_constant(n.right)), n
+        elif isinstance(n, (terms.TMu, terms.TNu)):
+            assert not is_constant(n.body) and n.body != terms.TVar(n.var), n
+
+
+def test_folded_values_within_kleene_bounds_on_random_corpus():
+    rng = random.Random(83)
+    for _ in range(60):
+        m = rand_model(rng, max_states=3, max_dists=2)
+        interp = rand_interp(rng, m)
+        phi = rand_lmu(rng, depth=rng.randint(1, 4))
+        per_state = translate_all(phi, m, interp)
+        assert_fully_folded(per_state)
+        values = model_check_lmu(phi, m, interp).values
+        outcome = kleene_lmu(phi, m, interp, budget=300)
+        for s in m.states:
+            assert eval_closed(per_state[s]) == values[s]
+            if outcome.stabilized:
+                assert outcome.value[s] == values[s]
+            if outcome.lower_sound:
+                assert outcome.value[s] <= values[s]
+            if outcome.upper_sound:
+                assert outcome.value[s] >= values[s]
