@@ -13,6 +13,7 @@ exception.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -178,7 +179,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every `main` call."""
     ap = argparse.ArgumentParser(prog="lmucheck", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

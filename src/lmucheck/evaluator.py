@@ -11,7 +11,9 @@ The value t(r) is then e(r). Inequalities are stored as `expr > 0` or
 `expr >= 0` with integer coefficients scaled to gcd 1, so condition sets
 deduplicate and order canonically.
 
-Non-binder constructors combine the recursive results and record which
+A constant is its own expression under the box conditions 0 <= x <= 1 of
+the variables in scope, as a variable is; no loop runs for it. Other
+non-binder constructors combine the recursive results and record which
 branch the point selected (which side of a max/min won, whether a truncated
 sum saturated). A binder `mu x.t'` runs the approximation loop: starting
 from the constant 0 (1 for `nu`), repeatedly evaluate t' at the current
@@ -328,6 +330,8 @@ class TermEvaluator:
             if any(not (0 <= v <= 1) for v in self._values):
                 raise InternalInvariantError("a scope variable left [0, 1]")
             return self._range_conditions(len(self._values)), LinExpr.variable(slot)
+        if isinstance(term, terms.TConst):
+            return self._range_conditions(len(self._values)), LinExpr.constant(term.value)
         # every result this evaluation ever produced for a subterm satisfies
         # (P2) universally, so the results collected per (node, scope, slot
         # assignment) form part of a representing system: whenever a previous

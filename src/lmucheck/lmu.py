@@ -1,9 +1,10 @@
 """Abstract syntax and syntactic operations for the quantitative fixed-point logic.
 
-Formulas are immutable trees. `ONE` is the conventional constant `nu X.X`
-(value 1 everywhere), `ZERO` its dual, and `constant(q)` the scalar constant
-`q*1`. All coefficients are rationals in [0, 1]. The fixed-point terms of
-`terms` are the formulas without modalities, propositions or complements.
+Formulas are immutable trees. The leaves `ONE` and `ZERO` are the literals
+`1` and `0`, constants with that value everywhere (not fixed points), and
+`constant(q)` is the scalar constant `q*1`. All coefficients are rationals
+in [0, 1]. The fixed-point terms of `terms` are the formulas without
+modalities, propositions or complements.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ __all__ = [
     "Var",
     "Prop",
     "CoProp",
+    "Const",
     "Scalar",
     "Join",
     "Meet",
@@ -30,7 +32,6 @@ __all__ = [
     "Nu",
     "ONE",
     "ZERO",
-    "ONE_VAR",
     "constant",
     "free_name_map",
     "extend_free_name_map",
@@ -63,6 +64,17 @@ class Prop(Lmu):
 @dataclass(frozen=True)
 class CoProp(Lmu):
     name: str
+
+
+@dataclass(frozen=True)
+class Const(Lmu):
+    """The literal `1` or `0`; `ONE` and `ZERO` are its only values."""
+
+    value: Fraction
+
+    def __post_init__(self) -> None:
+        if self.value not in (0, 1):
+            raise ValueError(f"constant {self.value} is neither 0 nor 1")
 
 
 @dataclass(frozen=True)
@@ -121,9 +133,8 @@ class Nu(Lmu):
     body: Lmu
 
 
-ONE_VAR = "_1"
-ONE = Nu(ONE_VAR, Var(ONE_VAR))
-ZERO = Mu(ONE_VAR, Var(ONE_VAR))
+ONE = Const(Fraction(1))
+ZERO = Const(Fraction(0))
 
 
 def constant(q: Fraction) -> Lmu:
@@ -170,7 +181,7 @@ def extend_free_name_map(free: dict[int, tuple[str, ...]], root: Lmu) -> None:
             children = (node.left, node.right)
         elif isinstance(node, (Scalar, Diamond, Box, Mu, Nu)):
             children = (node.body,)
-        elif isinstance(node, (Prop, CoProp)):
+        elif isinstance(node, (Prop, CoProp, Const)):
             children = ()
         else:
             raise TypeError(f"not a formula: {node!r}")
@@ -222,10 +233,8 @@ _LEVEL_ATOM = 7
 
 
 def _render(phi: Lmu, min_level: int) -> str:
-    if phi == ONE:
-        return "1"
-    if phi == ZERO:
-        return "0"
+    if isinstance(phi, Const):
+        return format_rational(phi.value)
     if isinstance(phi, (Var, Prop)):
         return phi.name
     if isinstance(phi, CoProp):
@@ -273,9 +282,10 @@ def dual(phi: Lmu) -> Lmu:
     """The complement formula: value(dual(phi)) = 1 - value(phi), exactly.
 
     Defined on closed formulas only. Connectives swap with their duals,
-    propositions with their complements, and binders flip while keeping
-    their names. A scalar `q phi` maps to `(q dual(phi)) (+) (1-q)1`, which
-    equals 1 - q*v without ever saturating (the sum stays within [0, 1]).
+    propositions with their complements, 1 with 0, and binders flip while
+    keeping their names. A scalar `q phi` maps to `(q dual(phi)) (+) (1-q)1`,
+    which equals 1 - q*v without ever saturating (the sum stays within
+    [0, 1]).
     """
     free = free_variables(phi)
     if free:
@@ -290,6 +300,8 @@ def _dual(phi: Lmu) -> Lmu:
         return CoProp(phi.name)
     if isinstance(phi, CoProp):
         return Prop(phi.name)
+    if isinstance(phi, Const):
+        return ZERO if phi.value else ONE
     if isinstance(phi, Scalar):
         return OPlus(Scalar(phi.factor, _dual(phi.body)), constant(1 - phi.factor))
     if isinstance(phi, Join):
@@ -356,7 +368,7 @@ def normalize_binders(phi: Lmu) -> Lmu:
     def walk(node: Lmu, env: dict[str, str]) -> Lmu:
         if isinstance(node, Var):
             return Var(env.get(node.name, node.name))
-        if isinstance(node, (Prop, CoProp)):
+        if isinstance(node, (Prop, CoProp, Const)):
             return node
         if isinstance(node, Scalar):
             return Scalar(node.factor, walk(node.body, env))

@@ -19,9 +19,9 @@ so results carry `lower_sound` (no truncated nu loop) and `upper_sound`
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from . import lmu, pctl, terms
 from .model import Distribution, Interpretation, Pnts, underlying_graph
@@ -287,6 +287,7 @@ def _expectation(d: Distribution, values: Mapping[str, Fraction]) -> Fraction:
 def direct_value(phi: lmu.Lmu, m: Pnts, interp: Interpretation) -> dict[str, Fraction]:
     """Value of a fixed-point-free formula, per state.
 
+    The literals 1 and 0 are constants, not fixed points, so they may occur.
     Without binders Kleene iteration runs no loop, so its value is exact.
     """
     for node in lmu.subformulas(phi):
@@ -314,36 +315,6 @@ def _modal(node: lmu.Lmu, dists, sub: Mapping[str, Fraction]) -> Fraction:
     return min(expectations, default=Fraction(1))
 
 
-@dataclass
-class _KleeneState:
-    budget: int
-    fuel: int
-    stabilized: bool = True
-    lower_sound: bool = True
-    upper_sound: bool = True
-
-    def run_loop(self, is_mu: bool, seed, body: Callable, eq: Callable):
-        """Iterate body from the seed; returns the final iterate."""
-        current = seed
-        emitted = 1
-        loop_stabilized = False
-        while emitted < self.budget and self.fuel > 0:
-            self.fuel -= 1
-            nxt = body(current)
-            emitted += 1
-            if eq(nxt, current):
-                loop_stabilized = True
-                break
-            current = nxt
-        if not loop_stabilized:
-            self.stabilized = False
-            if is_mu:
-                self.upper_sound = False
-            else:
-                self.lower_sound = False
-        return current
-
-
 @dataclass(frozen=True)
 class KleeneOutcome:
     """Final iterate plus how trustworthy it is as a bound.
@@ -365,32 +336,14 @@ def kleene_term(
     budget: int = DEFAULT_KLEENE_BUDGET,
     fuel: int = 200_000,
 ) -> KleeneOutcome:
-    """Iterative approximation of a term's value at a point."""
-    state = _KleeneState(budget=budget, fuel=fuel)
+    """Iterative approximation of a term's value at a point.
 
-    def walk(node: terms.Term, env: dict[str, Fraction]) -> Fraction:
-        if isinstance(node, lmu.Var):
-            try:
-                return env[node.name]
-            except KeyError:
-                raise OracleError(f"point does not cover {node.name!r}") from None
-        if isinstance(node, lmu.Scalar):
-            return node.factor * walk(node.body, env)
-        if isinstance(node, (lmu.Join, lmu.Meet, lmu.OPlus, lmu.OTimes)):
-            return _combine(node, walk(node.left, env), walk(node.right, env))
-        if isinstance(node, (lmu.Mu, lmu.Nu)):
-            is_mu = isinstance(node, lmu.Mu)
-            seed = Fraction(0) if is_mu else Fraction(1)
-            return state.run_loop(
-                is_mu,
-                seed,
-                lambda v: walk(node.body, {**env, node.var: v}),
-                lambda a, b: a == b,
-            )
-        raise TypeError(f"not a term: {node!r}")
-
-    value = walk(t, dict(point))
-    return KleeneOutcome(value, state.stabilized, state.lower_sound, state.upper_sound)
+    A term is a formula, so this is `kleene_lmu` on a one-state model
+    without transitions, the point valuing the term's free variables.
+    """
+    free = {name: {"s": v} for name, v in point.items()}
+    out = _kleene(t, Pnts(("s",), {}), Interpretation({}), free, budget, fuel)
+    return replace(out, value=out.value["s"])
 
 
 def kleene_lmu(
@@ -401,15 +354,29 @@ def kleene_lmu(
     fuel: int = 200_000,
 ) -> KleeneOutcome:
     """Iterative approximation of a closed formula's value, per state."""
-    state = _KleeneState(budget=budget, fuel=fuel)
+    return _kleene(phi, m, interp, {}, budget, fuel)
+
+
+def _kleene(
+    phi: lmu.Lmu,
+    m: Pnts,
+    interp: Interpretation,
+    free: dict[str, dict[str, Fraction]],
+    budget: int,
+    fuel: int,
+) -> KleeneOutcome:
+    flags = {"stabilized": True, "lower_sound": True, "upper_sound": True}
     Valuation = dict  # state -> Fraction
 
     def walk(node: lmu.Lmu, env: dict[str, Valuation]) -> Valuation:
+        nonlocal fuel
         if isinstance(node, lmu.Var):
             try:
                 return env[node.name]
             except KeyError:
                 raise OracleError(f"free variable {node.name!r}") from None
+        if isinstance(node, lmu.Const):
+            return {s: node.value for s in m.states}
         if isinstance(node, lmu.Prop):
             return {s: interp.value(node.name, s) for s in m.states}
         if isinstance(node, lmu.CoProp):
@@ -424,15 +391,20 @@ def kleene_lmu(
             sub = walk(node.body, env)
             return {s: _modal(node, m.distributions(s), sub) for s in m.states}
         if isinstance(node, (lmu.Mu, lmu.Nu)):
+            # the seed counts as the first of at most `budget` iterates
             is_mu = isinstance(node, lmu.Mu)
-            seed = {s: Fraction(0 if is_mu else 1) for s in m.states}
-            return state.run_loop(
-                is_mu,
-                seed,
-                lambda v: walk(node.body, {**env, node.var: v}),
-                lambda a, b: a == b,
-            )
+            current = {s: Fraction(0 if is_mu else 1) for s in m.states}
+            for _ in range(budget - 1):
+                if fuel <= 0:
+                    break
+                fuel -= 1
+                nxt = walk(node.body, {**env, node.var: current})
+                if nxt == current:
+                    return current
+                current = nxt
+            flags["stabilized"] = False
+            flags["upper_sound" if is_mu else "lower_sound"] = False
+            return current
         raise TypeError(f"not a formula: {node!r}")
 
-    values = walk(phi, {})
-    return KleeneOutcome(values, state.stabilized, state.lower_sound, state.upper_sound)
+    return KleeneOutcome(walk(phi, free), **flags)

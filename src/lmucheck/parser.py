@@ -9,11 +9,12 @@ Formulas and terms share one token set:
 
 Operator precedence, tightest first: scalar `q*`, modal `<>` `[]`, `(.)`,
 `(+)`, `/\\`, `\\/`; binder scope extends maximally to the right. Bare `1`
-and `0` abbreviate `nu x.x` and `mu x.x`. In formulas, an identifier bound
-by an enclosing binder is a variable and a free uppercase identifier is a
-proposition; free lowercase identifiers are rejected. In terms every
-identifier is a variable and must start with a lowercase letter or `_`
-(optionally carrying an `@state` suffix, as produced by the translation).
+and `0` are the constant leaves `lmu.ONE` and `lmu.ZERO`, not fixed points.
+In formulas, an identifier bound by an enclosing binder is a variable and a
+free uppercase identifier is a proposition; free lowercase identifiers are
+rejected. In terms every identifier is a variable and must start with a
+lowercase letter or `_` (optionally carrying an `@state` suffix, as
+produced by the translation).
 
 PCTL tokens: `true false ! | & E A X U Pmax Pmin > >= [ ] ( )`. `E X p`,
 `A X p`, `E[p U q]`, `A[p U q]`, `Pmax>q[...]`, `Pmax>=q[...]`, `Pmin...`.

@@ -1,10 +1,10 @@
 """Fixed-point terms denoting monotone functions [0,1]^n -> [0,1].
 
 A term is a formula of `lmu` from its modality-free, proposition-free
-fragment: variables, scalar multiplication by a rational in [0, 1], min/max
-(TMeet/TJoin), truncated sum and product (TOPlus/TOTimes), and the two
-fixed-point binders. Free variables are allowed. There is no constant
-constructor; `tconst(q)` is the scalar sugar `q*(nu x. x)`. Binders may
+fragment: variables, the constants 1 and 0 (TConst), scalar multiplication
+by a rational in [0, 1], min/max (TMeet/TJoin), truncated sum and product
+(TOPlus/TOTimes), and the two fixed-point binders. Free variables are
+allowed. `tconst(q)` is the scalar sugar `q*1`. Binders may
 shadow (the evaluator scopes variables lexically), which the state
 translation exploits. This module only names that fragment: every binding
 below is the `lmu` node class or function itself.
@@ -13,6 +13,7 @@ below is the `lmu` node class or function itself.
 from .lmu import (
     ONE as T_ONE,
     ZERO as T_ZERO,
+    Const as TConst,
     Join as TJoin,
     Lmu as Term,
     Meet as TMeet,
@@ -32,6 +33,7 @@ from .lmu import (
 __all__ = [
     "Term",
     "TVar",
+    "TConst",
     "TScalar",
     "TJoin",
     "TMeet",

@@ -24,6 +24,7 @@ Every term denotes a value in [0, 1], which makes each rule exact:
 - a binder whose body is a constant c is c, the only fixed point of a
   constant map; `mu x. x` is 0 and `nu x. x` is 1, the least and greatest
   fixed points of the identity;
+- the literals `1` and `0` are the interned constants 1 and 0;
 - propositions, co-propositions, deadlocked modalities (the empty join is
   0, the empty meet 1) and the per-distribution sums use the same rules.
 
@@ -281,6 +282,8 @@ def translate_all(
                 result: terms.Term = terms.TVar(term_var(i, s))
             else:
                 result = expand(i, gamma_step(gamma, i, s, dominates), s)
+        elif isinstance(node, lmu.Const):
+            result = const(node.value)
         elif isinstance(node, lmu.Prop):
             result = const(interp.value(node.name, s))
         elif isinstance(node, lmu.CoProp):

@@ -136,9 +136,7 @@ def rand_lmu(
     """Random closed formula (closed because leaves use only bound variables)."""
     if counter is None:
         counter = [0]
-    leaves = ["prop", "coprop"]
-    if not fixed_point_free:
-        leaves += ["one", "zero"]
+    leaves = ["prop", "coprop", "one", "zero"]
     if env:
         leaves += ["var", "var"]
     if depth <= 0:

@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 
 from generators import rand_interp, rand_lmu, rand_model
+from lmucheck import lmu
 from lmucheck.checking import model_check_lmu, model_check_pctl
 from lmucheck.evaluator import eval_closed
 from lmucheck.model import parse_model
-from lmucheck.oracle import OracleError
+from lmucheck.oracle import OracleError, kleene_lmu, kleene_term
 from lmucheck.parser import parse_lmu, parse_pctl
-from lmucheck.translator import translate
+from lmucheck.translator import translate, translate_all
 
 
 def test_shared_evaluation_matches_isolated_evaluation():
@@ -29,9 +30,16 @@ def test_outcome_reports_iterations_and_requested_states():
     m, interp = parse_model(
         "state s0 s1\nprop P = { s1: 1 }\ntrans s0 -> { s0: 1/2, s1: 1/2 }"
     )
-    out = model_check_lmu(parse_lmu("mu X. (P \\/ <>X)"), m, interp, states=("s1",))
+    phi = parse_lmu("mu X. (P \\/ <>X)")
+    # at s1 the term folds to the constant 1 and no loop runs; at s0 the
+    # term keeps the loop mu x. (1/2*x (+) 1/2*1)
+    out = model_check_lmu(phi, m, interp, states=("s1",))
     assert list(out.values) == ["s1"]
     assert out.values["s1"] == Fraction(1)
+    assert out.iterations == 0
+    out = model_check_lmu(phi, m, interp, states=("s0",))
+    assert list(out.values) == ["s0"]
+    assert out.values["s0"] == Fraction(1)
     assert out.iterations > 0
 
 
@@ -39,3 +47,46 @@ def test_pctl_checking_requires_boolean_valuations():
     m, interp = parse_model("state s0\nprop P = { s0: 1/2 }")
     with pytest.raises(OracleError, match="non-boolean"):
         model_check_pctl(parse_pctl("P"), m, interp)
+
+
+def test_every_node_class_through_every_walker():
+    # a walker that misses a node class raises TypeError or gives a wrong
+    # value below; the first assertion keeps the formula covering every class
+    m, interp = parse_model(
+        "state s0 s1 s2\n"
+        "prop P = { s0: 1/3, s1: 1, s2: 1/2 }\n"
+        "trans s0 -> { s1: 1/2, s2: 1/2 }\n"
+        "trans s0 -> { s0: 1 }\n"
+        "trans s1 -> { s0: 1/4, s2: 3/4 }\n"
+    )
+    text = "mu X. ((P \\/ <>(1/2*X (+) 0)) /\\ nu Y. (~P (+) []Y) (.) 1)"
+    phi = parse_lmu(text)
+    nodes = list(lmu.subformulas(phi))
+    assert {type(n) for n in nodes} == set(lmu.Lmu.__subclasses__())
+    assert len(nodes) == 16
+
+    free = lmu.free_name_map(phi)
+    assert all(id(n) in free for n in nodes)
+    assert free[id(phi)] == () and free[id(phi.body)] == ("X",)
+
+    assert lmu.render_lmu(phi) == text
+    assert parse_lmu(lmu.render_lmu(phi)) == phi
+
+    normalized = lmu.normalize_binders(phi)
+    assert [type(n) for n in lmu.subformulas(normalized)] == [type(n) for n in nodes]
+    assert [n.var for n in lmu.subformulas(normalized) if isinstance(n, (lmu.Mu, lmu.Nu))] == [
+        "X_1",
+        "X_2",
+    ]
+
+    out = model_check_lmu(phi, m, interp)
+    assert out.values == {"s0": Fraction(3, 8), "s1": Fraction(1), "s2": Fraction(1, 2)}
+    kleene = kleene_lmu(phi, m, interp)
+    assert kleene.stabilized and kleene.value == out.values
+    assert model_check_lmu(lmu.dual(phi), m, interp).values == {
+        s: 1 - v for s, v in out.values.items()
+    }
+
+    for s, t in translate_all(phi, m, interp).items():
+        outcome = kleene_term(t, {})
+        assert outcome.stabilized and outcome.value == out.values[s]

@@ -12,8 +12,8 @@ F = Fraction
 
 def is_constant_like(phi: lmu.Lmu) -> bool:
     """Model-independent subtree built from scalars, sums and 0/1 constants."""
-    if isinstance(phi, (lmu.Mu, lmu.Nu)):
-        return isinstance(phi.body, lmu.Var) and phi.body.name == phi.var
+    if isinstance(phi, lmu.Const):
+        return True
     if isinstance(phi, lmu.Scalar):
         return is_constant_like(phi.body)
     if isinstance(phi, (lmu.Join, lmu.Meet, lmu.OPlus, lmu.OTimes)):
@@ -52,7 +52,7 @@ def check_threshold_shape(phi: lmu.Lmu) -> None:
     if isinstance(phi, (lmu.Diamond, lmu.Box)):
         check_threshold_shape(phi.body)
         return
-    assert isinstance(phi, (lmu.Var, lmu.Prop, lmu.CoProp)), f"unexpected node {phi}"
+    assert isinstance(phi, (lmu.Var, lmu.Prop, lmu.CoProp, lmu.Const)), f"unexpected node {phi}"
 
 
 def test_encode_true_is_one():

@@ -17,6 +17,8 @@ from lmucheck.evaluator import (
     eval_term,
     make_conditions,
     normalize_on,
+    render_inequality,
+    render_lin_expr,
 )
 from lmucheck.parser import parse_term
 
@@ -228,6 +230,19 @@ def test_evaluator_accumulates_iterations():
     ev.value(parse_term("mu x. x"), {})
     ev.value(parse_term("nu x. x"), {})
     assert ev.loop_iterations >= 2
+
+
+def test_constant_runs_no_loop():
+    result = eval_term(parse_term("1/2*1 (+) x"), {"x": F(1, 4)})
+    assert result.value == F(3, 4)
+    assert result.iterations == 0
+    assert render_lin_expr(result.expr, result.variables) == "1*x + 1/2"
+    # the unsaturated sum x + 1/2 <= 1 and the box 0 <= x <= 1
+    assert [render_inequality(i, result.variables) for i in result.conditions] == [
+        "-2*x + 1 >= 0",
+        "-1*x + 1 >= 0",
+        "1*x >= 0",
+    ]
 
 
 def test_determinism_byte_identical():

@@ -9,6 +9,7 @@ from lmucheck.oracle import (
     OracleError,
     SchedulerSpaceError,
     chain_of,
+    direct_value,
     kleene_lmu,
     kleene_term,
     md_schedulers,
@@ -147,6 +148,14 @@ def test_pctl_rejects_non_boolean():
     m, interp = parse_model("state s0\nprop P = { s0: 1/2 }")
     with pytest.raises(OracleError, match="boolean"):
         pctl_oracle(parse_pctl("P"), m, interp)
+
+
+def test_direct_value_accepts_constants():
+    m, interp = parse_model(HALF_CHANCE.replace("P1", "P"))
+    values = direct_value(parse_lmu("<>P \\/ 1/4*1"), m, interp)
+    assert values == {"s0": F(1, 4), "goal": F(1, 4), "sink": F(1, 4)}
+    values = direct_value(parse_lmu("[]~P (.) 1 \\/ 0"), m, interp)
+    assert values == {"s0": F(1), "goal": F(1), "sink": F(1)}
 
 
 def test_kleene_term_truncation():

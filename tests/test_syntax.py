@@ -114,6 +114,12 @@ def test_parse_literals_and_complement():
     assert parse_lmu("0") == lmu.ZERO
     assert parse_lmu("~P") == lmu.CoProp("P")
     assert parse_lmu("1/2*1") == lmu.constant(Fraction(1, 2))
+    # the literals are leaves; a written fixed point of the identity is not one
+    assert parse_lmu("1") == lmu.Const(Fraction(1))
+    assert lmu.render_lmu(parse_lmu("nu _1. _1")) == "nu _1. (_1)"
+    for bad in (Fraction(1, 2), 2, -1):
+        with pytest.raises(ValueError, match="neither 0 nor 1"):
+            lmu.Const(bad)
 
 
 def test_parse_precedence():
@@ -185,7 +191,7 @@ def test_translator_var_names_round_trip():
 
 def test_dual_swaps_connectives():
     assert lmu.dual(lmu.Diamond(lmu.Prop("P"))) == lmu.Box(lmu.CoProp("P"))
-    assert lmu.dual(lmu.ONE) == lmu.ZERO
+    assert lmu.dual(lmu.ONE) is lmu.ZERO and lmu.dual(lmu.ZERO) is lmu.ONE
 
 
 def test_dual_requires_closed():

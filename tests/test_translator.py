@@ -52,6 +52,12 @@ def test_index_binders_requires_distinct():
         index_binders(phi)
 
 
+def test_constants_take_no_binder_number():
+    phi = lmu.normalize_binders(parse_lmu("mu X. (1/2*1 \\/ <>X) /\\ 0"))
+    assert index_binders(phi).count == 1
+    assert domination_relation(phi) == frozenset()
+
+
 def test_gamma_step():
     assert gamma_step(frozenset(), 1, "s0", frozenset()) == {(1, "s0")}
     assert gamma_step(frozenset({(2, "s0")}), 1, "s1", frozenset({(1, 2)})) == {(1, "s1")}
