@@ -247,24 +247,19 @@ class EvalResult:
 class TermEvaluator:
     """Evaluates terms; accumulates loop-iteration counts across calls.
 
-    The instance keeps its region caches between calls (and holds on to the
-    evaluated terms so node identities stay unique), so evaluating several
-    terms that share subterm objects, as the per-state translations do, costs
-    far less than evaluating them in isolation.
+    The instance keeps its region caches between calls, so evaluating
+    several terms that share subterms, as the per-state translations do,
+    costs far less than evaluating them in isolation.
     """
 
     def __init__(self, max_loop_iterations: int = DEFAULT_LOOP_CAP):
         self.max_loop_iterations = max_loop_iterations
         self.loop_iterations = 0
-        self._roots: list[terms.Term] = []
-        self._free: dict[int, tuple[str, ...]] = {}
         self._cache: dict[tuple, list[tuple[tuple[Inequality, ...], LinExpr]]] = {}
         self._range_cache: dict[int, tuple[Inequality, ...]] = {}
 
     def evaluate(self, term: terms.Term, point: Mapping[str, Fraction]) -> EvalResult:
-        self._roots.append(term)  # keeps the ids in `_free` unique
-        terms.extend_free_name_map(self._free, term)
-        missing = set(self._free[id(term)]) - set(point)
+        missing = set(term.free) - set(point)
         if missing:
             raise EvalError(f"point does not cover variables {sorted(missing)}")
         names = tuple(sorted(point))
@@ -339,11 +334,7 @@ class TermEvaluator:
         # too, and the acceptance test doubles as the (P1) assertion. Shared
         # subterms and the sweeps of enclosing loops revisit nodes constantly,
         # which makes this cache the difference between feasible and hopeless.
-        key = (
-            id(term),
-            len(self._values),
-            tuple((n, env[n]) for n in self._free[id(term)]),
-        )
+        key = (term, len(self._values), tuple((n, env[n]) for n in term.free))
         basis = self._cache.setdefault(key, [])
         for i, (conds, expr) in enumerate(basis):
             if cond_holds(conds, self._values):
@@ -527,9 +518,8 @@ def eval_term(
 
 def eval_closed(term: terms.Term, max_loop_iterations: int = DEFAULT_LOOP_CAP) -> Fraction:
     """Exact value of a closed term."""
-    free = terms.term_free_variables(term)
-    if free:
-        raise EvalError(f"term is not closed; free: {sorted(free)}")
+    if term.free:
+        raise EvalError(f"term is not closed; free: {list(term.free)}")
     return eval_term(term, {}, max_loop_iterations).value
 
 

@@ -1,6 +1,9 @@
 """Abstract syntax and syntactic operations for the quantitative fixed-point logic.
 
-Formulas are immutable trees. The leaves `ONE` and `ZERO` are the literals
+Formulas are immutable and unique: building a node whose class and fields
+equal those of a live node returns that node, so `==` and `hash` are
+identity and equal subformulas are shared. Each node carries `free`, its
+sorted free variable names. The leaves `ONE` and `ZERO` are the literals
 `1` and `0`, constants with that value everywhere (not fixed points), and
 `constant(q)` is the scalar constant `q*1`. All coefficients are rationals
 in [0, 1]. The fixed-point terms of `terms` are the formulas without
@@ -9,7 +12,7 @@ modalities, propositions or complements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
 from fractions import Fraction
 from typing import Iterator
 
@@ -33,9 +36,6 @@ __all__ = [
     "ONE",
     "ZERO",
     "constant",
-    "free_name_map",
-    "extend_free_name_map",
-    "free_variables",
     "used_names",
     "fresh_names",
     "render_lmu",
@@ -45,92 +45,165 @@ __all__ = [
     "subformulas",
 ]
 
+# every live node, keyed by its class and fields; a node drops out when the
+# last reference to it goes
+_nodes: weakref.WeakValueDictionary[tuple, Lmu] = weakref.WeakValueDictionary()
 
-@dataclass(frozen=True)
+
 class Lmu:
-    pass
+    """A formula node: immutable, with its sorted free variable names in `free`.
+
+    Nodes are hash-consed: a construction whose class and fields equal those
+    of a live node returns that node unchanged (there is no `__init__`).
+    Each subclass lists its fields once, as `__slots__ = _fields = (...)`.
+    Classes that validate or normalise a field do so before the lookup, so
+    `Scalar(1, x)` and `Scalar(Fraction(1), x)` are one node.
+    """
+
+    __slots__ = ("free", "__weakref__")
+    _fields: tuple[str, ...] = ()
+    free: tuple[str, ...]
+
+    def __new__(cls, *values):
+        key = (cls, *values)
+        node = _nodes.get(key)
+        if node is None:
+            if len(values) != len(cls._fields):
+                raise TypeError(f"{cls.__name__} takes fields {cls._fields}, got {values!r}")
+            node = object.__new__(cls)
+            for name, value in zip(cls._fields, values):
+                object.__setattr__(node, name, value)
+            object.__setattr__(node, "free", _free_names(node))
+            _nodes[key] = node
+        return node
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # copies and unpickled nodes are built through the table, so they
+        # are the node itself
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
-@dataclass(frozen=True)
 class Var(Lmu):
+    __slots__ = _fields = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
 class Prop(Lmu):
+    __slots__ = _fields = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
 class CoProp(Lmu):
+    __slots__ = _fields = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
 class Const(Lmu):
     """The literal `1` or `0`; `ONE` and `ZERO` are its only values."""
 
+    __slots__ = _fields = ("value",)
     value: Fraction
 
-    def __post_init__(self) -> None:
-        if self.value not in (0, 1):
-            raise ValueError(f"constant {self.value} is neither 0 nor 1")
+    def __new__(cls, value):
+        if type(value) is not Fraction:
+            value = Fraction(value)
+        if value not in (0, 1):
+            raise ValueError(f"constant {value} is neither 0 nor 1")
+        return super().__new__(cls, value)
 
 
-@dataclass(frozen=True)
 class Scalar(Lmu):
+    __slots__ = _fields = ("factor", "body")
     factor: Fraction
     body: Lmu
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.factor <= 1):
-            raise ValueError(f"scalar factor {self.factor} outside [0, 1]")
+    def __new__(cls, factor, body):
+        if type(factor) is not Fraction:
+            factor = Fraction(factor)
+        if not (0 <= factor.numerator <= factor.denominator):
+            raise ValueError(f"scalar factor {factor} outside [0, 1]")
+        return super().__new__(cls, factor, body)
 
 
-@dataclass(frozen=True)
 class Join(Lmu):
+    __slots__ = _fields = ("left", "right")
     left: Lmu
     right: Lmu
 
 
-@dataclass(frozen=True)
 class Meet(Lmu):
+    __slots__ = _fields = ("left", "right")
     left: Lmu
     right: Lmu
 
 
-@dataclass(frozen=True)
 class OPlus(Lmu):
+    __slots__ = _fields = ("left", "right")
     left: Lmu
     right: Lmu
 
 
-@dataclass(frozen=True)
 class OTimes(Lmu):
+    __slots__ = _fields = ("left", "right")
     left: Lmu
     right: Lmu
 
 
-@dataclass(frozen=True)
 class Diamond(Lmu):
+    __slots__ = _fields = ("body",)
     body: Lmu
 
 
-@dataclass(frozen=True)
 class Box(Lmu):
+    __slots__ = _fields = ("body",)
     body: Lmu
 
 
-@dataclass(frozen=True)
 class Mu(Lmu):
+    __slots__ = _fields = ("var", "body")
     var: str
     body: Lmu
 
 
-@dataclass(frozen=True)
 class Nu(Lmu):
+    __slots__ = _fields = ("var", "body")
     var: str
     body: Lmu
+
+
+_BINARY = {Join, Meet, OPlus, OTimes}
+_UNARY = {Scalar, Diamond, Box}
+
+
+def _free_names(node: Lmu) -> tuple[str, ...]:
+    """Sorted free variable names of a new node, from its children's."""
+    kind = type(node)
+    if kind in _BINARY:
+        left, right = node.left.free, node.right.free
+        if left == right or not right:
+            return left
+        return tuple(sorted(frozenset(left + right))) if left else right
+    if kind in _UNARY:
+        return node.body.free
+    if kind is Var:
+        return (node.name,)
+    if kind is Mu or kind is Nu:
+        free = node.body.free
+        if node.var not in free:
+            return free
+        i = free.index(node.var)
+        return free[:i] + free[i + 1 :]
+    return ()
 
 
 ONE = Const(Fraction(1))
@@ -139,7 +212,7 @@ ZERO = Const(Fraction(0))
 
 def constant(q: Fraction) -> Lmu:
     """The constant formula with value q everywhere."""
-    return Scalar(Fraction(q), ONE)
+    return Scalar(q, ONE)
 
 
 def subformulas(phi: Lmu) -> Iterator[Lmu]:
@@ -153,52 +226,6 @@ def subformulas(phi: Lmu) -> Iterator[Lmu]:
             stack.append(node.left)
         elif isinstance(node, (Scalar, Diamond, Box, Mu, Nu)):
             stack.append(node.body)
-
-
-def free_name_map(root: Lmu) -> dict[int, tuple[str, ...]]:
-    """Sorted free variable names per node id; shared subformulas visited once."""
-    free: dict[int, tuple[str, ...]] = {}
-    extend_free_name_map(free, root)
-    return free
-
-
-def extend_free_name_map(free: dict[int, tuple[str, ...]], root: Lmu) -> None:
-    """Add the nodes of `root` to a free-name map, skipping ids it holds.
-
-    The caller keeps every mapped node alive, so an id it holds still names
-    the node it was mapped for.
-    """
-    stack: list[tuple[Lmu, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if id(node) in free:
-            continue
-        if isinstance(node, Var):
-            free[id(node)] = (node.name,)
-            continue
-        children: tuple[Lmu, ...]
-        if isinstance(node, (Join, Meet, OPlus, OTimes)):
-            children = (node.left, node.right)
-        elif isinstance(node, (Scalar, Diamond, Box, Mu, Nu)):
-            children = (node.body,)
-        elif isinstance(node, (Prop, CoProp, Const)):
-            children = ()
-        else:
-            raise TypeError(f"not a formula: {node!r}")
-        if not expanded:
-            stack.append((node, True))
-            stack.extend((c, False) for c in children)
-            continue
-        merged: set[str] = set()
-        for c in children:
-            merged.update(free[id(c)])
-        if isinstance(node, (Mu, Nu)):
-            merged.discard(node.var)
-        free[id(node)] = tuple(sorted(merged))
-
-
-def free_variables(phi: Lmu) -> frozenset[str]:
-    return frozenset(free_name_map(phi)[id(phi)])
 
 
 def used_names(phi: Lmu) -> set[str]:
@@ -287,9 +314,8 @@ def dual(phi: Lmu) -> Lmu:
     which equals 1 - q*v without ever saturating (the sum stays within
     [0, 1]).
     """
-    free = free_variables(phi)
-    if free:
-        raise ValueError(f"dual is defined on closed formulas; free: {sorted(free)}")
+    if phi.free:
+        raise ValueError(f"dual is defined on closed formulas; free: {list(phi.free)}")
     return _dual(phi)
 
 
@@ -355,7 +381,7 @@ def normalize_binders(phi: Lmu) -> Lmu:
     formula's proposition names, so rendering stays capture-free.
     """
     avoid = {s.name for s in subformulas(phi) if isinstance(s, (Prop, CoProp))}
-    avoid |= free_variables(phi)
+    avoid.update(phi.free)
     counter = [0]
 
     def next_name() -> str:

@@ -4,15 +4,15 @@ A term is a formula of `lmu` from its modality-free, proposition-free
 fragment: variables, the constants 1 and 0 (TConst), scalar multiplication
 by a rational in [0, 1], min/max (TMeet/TJoin), truncated sum and product
 (TOPlus/TOTimes), and the two fixed-point binders. Free variables are
-allowed. `tconst(q)` is the scalar sugar `q*1`. Binders may
-shadow (the evaluator scopes variables lexically), which the state
-translation exploits. This module only names that fragment: every binding
-below is the `lmu` node class or function itself.
+allowed; a term's `free` lists them. `tconst(q)` is the scalar sugar `q*1`,
+whose body is `T_ONE`. Binders may shadow (the evaluator scopes variables
+lexically), which the state translation exploits. This module only names
+that fragment: every binding below is the `lmu` node class or function
+itself.
 """
 
 from .lmu import (
     ONE as T_ONE,
-    ZERO as T_ZERO,
     Const as TConst,
     Join as TJoin,
     Lmu as Term,
@@ -24,9 +24,6 @@ from .lmu import (
     Scalar as TScalar,
     Var as TVar,
     constant as tconst,
-    extend_free_name_map,
-    free_name_map,
-    free_variables as term_free_variables,
     render_lmu as render_term,
 )
 
@@ -42,10 +39,6 @@ __all__ = [
     "TMu",
     "TNu",
     "T_ONE",
-    "T_ZERO",
     "tconst",
-    "free_name_map",
-    "extend_free_name_map",
-    "term_free_variables",
     "render_term",
 ]

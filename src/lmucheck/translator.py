@@ -11,7 +11,7 @@ the same `x_i@s` at several places, including shadowed nesting; the
 evaluator scopes term variables lexically, so this is sound.
 
 The walk builds terms through folding constructors, so a constant subterm
-is never built as anything but one interned `tconst(q)` node per value.
+is never built as anything but `tconst(q)`, one node per value.
 Every term denotes a value in [0, 1], which makes each rule exact:
 
 - two constant operands of `\\/ /\\ (+) (.)` fold to the constant their
@@ -21,10 +21,11 @@ Every term denotes a value in [0, 1], which makes each rule exact:
 - `0 \\/ t`, `0 (+) t`, `1 /\\ t` and `1 (.) t` are t, either side:
   max(0, t), min(1, 0+t), min(1, t) and max(0, 1+t-1) all equal t on [0, 1];
 - `0*t` is 0, `1*t` is t and `q*c` is the constant qc, by arithmetic;
-- a binder whose body is a constant c is c, the only fixed point of a
-  constant map; `mu x. x` is 0 and `nu x. x` is 1, the least and greatest
+- a binder whose body does not mention its variable is that body, the
+  only fixed point of a map that ignores its argument (a constant body
+  included); `mu x. x` is 0 and `nu x. x` is 1, the least and greatest
   fixed points of the identity;
-- the literals `1` and `0` are the interned constants 1 and 0;
+- the literals `1` and `0` are the constants 1 and 0;
 - propositions, co-propositions, deadlocked modalities (the empty join is
   0, the empty meet 1) and the per-distribution sums use the same rules.
 
@@ -144,9 +145,8 @@ def translate_all(
     for state in targets:
         if state not in m.index:
             raise TranslationError(f"unknown state {state!r}")
-    free = lmu.free_variables(phi)
-    if free:
-        raise TranslationError(f"formula must be closed; free: {sorted(free)}")
+    if phi.free:
+        raise TranslationError(f"formula must be closed; free: {list(phi.free)}")
     phi = lmu.normalize_binders(phi)
     binders = index_binders(phi)
     dominates = domination_relation(phi)
@@ -155,10 +155,8 @@ def translate_all(
     # free variables plus, transitively, those of every body it can expand
     # into. Restricting the memo key to these entries lets translations of
     # closed subformulas be shared across contexts and states.
-    free_names = lmu.free_name_map(phi)
-
     def free_indices(node: lmu.Lmu) -> frozenset[int]:
-        return frozenset(binders.index_of[v] for v in free_names[id(node)])
+        return frozenset(binders.index_of[v] for v in node.free)
 
     dep = {i: free_indices(binders.bodies[i - 1]) for i in range(1, binders.count + 1)}
     reach = {i: set(dep[i]) for i in dep}
@@ -185,20 +183,14 @@ def translate_all(
             relevant_cache[node] = rel
         return rel
 
-    # Constant folding. Each value gets one interned `tconst` node per call,
-    # and `value_of` maps node ids to values, so testing for a constant is a
-    # dict lookup and the absorbing/neutral tests are identity checks.
-    interned: dict[Fraction, terms.Term] = {}
-    value_of: dict[int, Fraction] = {}
+    # Constant folding. Nodes are unique, so each value has one constant
+    # node and the absorbing/neutral tests are identity checks.
+    def value_of(node: terms.Term) -> Fraction | None:
+        if type(node) is terms.TScalar and node.body is terms.T_ONE:
+            return node.factor
+        return None
 
-    def const(q: Fraction) -> terms.Term:
-        node = interned.get(q)
-        if node is None:
-            node = interned[q] = terms.tconst(q)
-            value_of[id(node)] = q
-        return node
-
-    one, zero = const(Fraction(1)), const(Fraction(0))
+    one, zero = terms.tconst(1), terms.tconst(0)
     absorbing = {terms.TJoin: one, terms.TOPlus: one, terms.TMeet: zero, terms.TOTimes: zero}
     neutral = {terms.TJoin: zero, terms.TOPlus: zero, terms.TMeet: one, terms.TOTimes: one}
     fold = {
@@ -215,21 +207,21 @@ def translate_all(
             return right
         if right is neutral[cls]:
             return left
-        a, b = value_of.get(id(left)), value_of.get(id(right))
+        a, b = value_of(left), value_of(right)
         if a is not None and b is not None:
-            return const(fold[cls](a, b))
+            return terms.tconst(fold[cls](a, b))
         return cls(left, right)
 
     def scale(q: Fraction, body: terms.Term) -> terms.Term:
         if q == 1:
             return body
-        v = value_of.get(id(body))
+        v = value_of(body)
         if v is not None:
-            return const(q * v)
+            return terms.tconst(q * v)
         return terms.TScalar(q, body)
 
     def bind(cls: type, var: str, body: terms.Term) -> terms.Term:
-        if id(body) in value_of:
+        if var not in body.free:
             return body
         if isinstance(body, terms.TVar) and body.name == var:
             return zero if cls is terms.TMu else one
@@ -283,11 +275,11 @@ def translate_all(
             else:
                 result = expand(i, gamma_step(gamma, i, s, dominates), s)
         elif isinstance(node, lmu.Const):
-            result = const(node.value)
+            result = terms.tconst(node.value)
         elif isinstance(node, lmu.Prop):
-            result = const(interp.value(node.name, s))
+            result = terms.tconst(interp.value(node.name, s))
         elif isinstance(node, lmu.CoProp):
-            result = const(1 - interp.value(node.name, s))
+            result = terms.tconst(1 - interp.value(node.name, s))
         elif isinstance(node, lmu.Scalar):
             # 0*t is decided without walking t
             result = zero if node.factor == 0 else scale(node.factor, walk(node.body, gamma, s))

@@ -65,12 +65,13 @@ def test_every_node_class_through_every_walker():
     assert {type(n) for n in nodes} == set(lmu.Lmu.__subclasses__())
     assert len(nodes) == 16
 
-    free = lmu.free_name_map(phi)
-    assert all(id(n) in free for n in nodes)
-    assert free[id(phi)] == () and free[id(phi.body)] == ("X",)
+    assert [n.free for n in nodes] == [
+        (), ("X",), ("X",), (), ("X",), ("X",), ("X",), ("X",),
+        (), (), (), ("Y",), (), ("Y",), ("Y",), (),
+    ]
 
     assert lmu.render_lmu(phi) == text
-    assert parse_lmu(lmu.render_lmu(phi)) == phi
+    assert parse_lmu(lmu.render_lmu(phi)) is phi
 
     normalized = lmu.normalize_binders(phi)
     assert [type(n) for n in lmu.subformulas(normalized)] == [type(n) for n in nodes]
@@ -87,6 +88,9 @@ def test_every_node_class_through_every_walker():
         s: 1 - v for s, v in out.values.items()
     }
 
-    for s, t in translate_all(phi, m, interp).items():
+    per_state = translate_all(phi, m, interp)
+    for s, t in per_state.items():
         outcome = kleene_term(t, {})
         assert outcome.stabilized and outcome.value == out.values[s]
+    # mu x_1@s1 would bind nothing: its body does not mention x_1@s1
+    assert lmu.render_lmu(per_state["s1"]).startswith("nu x_2@s1. ")

@@ -154,7 +154,7 @@ def test_encoded_formulas_are_closed():
     rng = random.Random(79)
     for _ in range(100):
         phi = encode_pctl(rand_pctl(rng, depth=rng.randint(0, 3)))
-        assert lmu.free_variables(phi) == frozenset()
+        assert phi.free == ()
 
 
 def test_encoded_shape_confines_strong_connectives():

@@ -1,3 +1,6 @@
+import copy
+import gc
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -11,10 +14,7 @@ from lmucheck.model import parse_model
 from lmucheck.parser import ParseError, parse_lmu, parse_pctl, parse_term
 
 
-def test_term_free_variables_deep_term():
-    t: terms.Term = terms.TVar("x")
-    for i in range(10_000):
-        t = terms.TOPlus(t, terms.TVar("y")) if i % 2 else terms.TMu("z", t)
+def deep_chain() -> lmu.Lmu:
     phi: lmu.Lmu = lmu.Var("x")
     wrappers = (
         lambda f: lmu.Mu("z", f),
@@ -24,32 +24,62 @@ def test_term_free_variables_deep_term():
     )
     for i in range(10_000):
         phi = wrappers[i % 4](phi)
+    return phi
+
+
+def test_term_free_variables_deep_term():
+    t: terms.Term = terms.TVar("x")
+    for i in range(10_000):
+        t = terms.TOPlus(t, terms.TVar("y")) if i % 2 else terms.TMu("z", t)
+    phi = deep_chain()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # the interpreter default; conftest raises it
     try:
-        assert terms.term_free_variables(t) == frozenset({"x", "y"})
-        assert terms.term_free_variables(terms.TMu("x", t)) == frozenset({"y"})
-        assert lmu.free_variables(phi) == frozenset({"x"})
-        assert lmu.free_variables(lmu.Nu("x", phi)) == frozenset()
+        assert t.free == ("x", "y")
+        assert terms.TMu("x", t).free == ("y",)
+        assert phi.free == ("x",)
+        assert lmu.Nu("x", phi).free == ()
+        assert hash(phi) == hash(phi) and phi == phi
+        assert deep_chain() is phi
         assert lmu.used_names(phi) == {"x", "z", "P"}
         subs = list(lmu.subformulas(phi))
     finally:
         sys.setrecursionlimit(limit)
     assert len(subs) == 10_001 + 2_500  # every wrapper plus the innermost x, and each P
-    assert subs[0] is phi and subs[-1] == lmu.Prop("P")
+    assert subs[0] is phi and subs[-1] is lmu.Prop("P")
 
 
-def test_extend_free_name_map_skips_mapped_nodes():
-    shared = terms.TJoin(terms.TVar("x"), terms.TVar("y"))
-    first = terms.TMu("x", shared)  # held: ids in the map must stay unique
-    free: dict[int, tuple[str, ...]] = {}
-    terms.extend_free_name_map(free, first)
-    assert free[id(shared)] == ("x", "y")
-    # a node already in the map is not walked again: its entry stands
-    free[id(shared)] = ("z",)
-    second = terms.TScalar(Fraction(1, 2), shared)
-    terms.extend_free_name_map(free, second)
-    assert free[id(second)] == ("z",)
+def test_nodes_are_unique():
+    x, y = lmu.Var("x"), lmu.Var("y")
+    assert lmu.Var("x") is x and lmu.Prop("x") is not x
+    assert lmu.Const(1) is lmu.ONE and lmu.Const(Fraction(0)) is lmu.ZERO
+    half = lmu.Scalar(Fraction(1, 2), lmu.ONE)
+    assert lmu.Scalar(Fraction(2, 4), lmu.ONE) is half is lmu.constant(Fraction(1, 2))
+    assert lmu.Scalar(1, x) is lmu.Scalar(Fraction(1), x)
+    assert type(lmu.Scalar(1, x).factor) is Fraction
+    phi = lmu.Mu("x", lmu.Join(x, lmu.Diamond(y)))
+    assert lmu.Mu("x", lmu.Join(lmu.Var("x"), lmu.Diamond(lmu.Var("y")))) is phi
+    assert phi.free == ("y",) and phi.body.free == ("x", "y")
+    assert copy.deepcopy(phi) is phi and pickle.loads(pickle.dumps(phi)) is phi
+    with pytest.raises(AttributeError):
+        x.name = "y"
+    with pytest.raises(AttributeError):
+        phi.free = ()
+
+    gc.collect()
+    live = len(lmu._nodes)
+    with pytest.raises(ValueError, match="neither 0 nor 1"):
+        lmu.Const(Fraction(1, 2))
+    with pytest.raises(ValueError, match="outside"):
+        lmu.Scalar(Fraction(3, 2), x)
+    with pytest.raises(TypeError, match="takes fields"):
+        lmu.Join(x)
+    assert len(lmu._nodes) == live
+    chain = deep_chain()
+    assert len(lmu._nodes) >= live + 10_000
+    del chain
+    gc.collect()
+    assert len(lmu._nodes) == live
 
 
 def test_subformulas_pre_order():
