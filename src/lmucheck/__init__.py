@@ -1,6 +1,6 @@
 """Exact model checker for a quantitative fixed-point logic over finite
 rational probabilistic nondeterministic transition systems, with a PCTL
-front end and a brute-force PCTL oracle for differential validation."""
+front end and an independent PCTL oracle for differential validation."""
 
 from .checking import CheckOutcome, model_check_lmu, model_check_pctl
 from .encoder import encode_pctl
@@ -14,13 +14,11 @@ from .evaluator import (
 )
 from .model import (
     Distribution,
-    EdgeRelation,
     Interpretation,
     ModelError,
     Pnts,
     parse_model,
     render_model,
-    underlying_graph,
     validate_model,
 )
 from .oracle import (

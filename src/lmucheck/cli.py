@@ -3,7 +3,7 @@
 Subcommands: `check` runs the full pipeline on a model file and a formula,
 `encode` prints the fixed-point encoding of a PCTL formula, `translate`
 prints the per-state terms with constants folded, `eval` evaluates a term
-at a point, and `oracle` runs the brute-force PCTL checker. Values print as
+at a point, and `oracle` runs the independent PCTL checker. Values print as
 exact rationals; decimal approximations are opt-in and marked with `~`.
 Exit codes: 0 success, 1 input error (including nesting beyond the
 recursion limit), 2 internal invariant failure or any other unexpected
@@ -30,7 +30,7 @@ from .evaluator import (
     render_lin_expr,
 )
 from .model import ModelError, parse_model
-from .oracle import OracleError, SchedulerSpaceError, pctl_oracle, prob_operator_values
+from .oracle import OracleError, pctl_oracle, prob_operator_values
 from .parser import ParseError, parse_lmu, parse_pctl, parse_term
 from .rationals import RationalParseError, approx_decimal, format_rational, parse_rational
 from .translator import TranslationError, translate_all
@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ev.set_defaults(func=_cmd_eval)
 
-    orc = sub.add_parser("oracle", help="run the brute-force PCTL checker")
+    orc = sub.add_parser("oracle", help="run the independent PCTL checker")
     orc.add_argument("--model", required=True)
     orc.add_argument("--pctl", required=True)
     orc.add_argument("--state")
@@ -244,7 +244,6 @@ def main(argv: list[str] | None = None) -> int:
         EvalError,
         OracleError,
         TranslationError,
-        SchedulerSpaceError,
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,11 +24,9 @@ __all__ = [
     "Distribution",
     "Pnts",
     "Interpretation",
-    "EdgeRelation",
     "parse_model",
     "render_model",
     "validate_model",
-    "underlying_graph",
 ]
 
 
@@ -70,9 +68,6 @@ class Pnts:
     def distributions(self, state: str) -> tuple[Distribution, ...]:
         return self.transitions.get(state, ())
 
-    def is_deadlock(self, state: str) -> bool:
-        return not self.transitions.get(state)
-
 
 @dataclass
 class Interpretation:
@@ -89,34 +84,6 @@ class Interpretation:
             for per_state in self.valuation.values()
             for v in per_state.values()
         )
-
-
-@dataclass(frozen=True)
-class EdgeRelation:
-    """The underlying nondeterministic graph: s -> t iff some distribution hits t."""
-
-    edges: frozenset[tuple[str, str]]
-    succ: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        succ: dict[str, list[str]] = {}
-        for s, t in self.edges:
-            succ.setdefault(s, []).append(t)
-        object.__setattr__(self, "succ", {s: tuple(sorted(ts)) for s, ts in succ.items()})
-
-    def successors(self, state: str) -> tuple[str, ...]:
-        return self.succ.get(state, ())
-
-
-def underlying_graph(m: Pnts) -> EdgeRelation:
-    """Edges (s, t) with d(t) > 0 for some distribution d available at s."""
-    edges = set()
-    for s in m.states:
-        for d in m.distributions(s):
-            for t, w in d.entries:
-                if w > 0:
-                    edges.add((s, t))
-    return EdgeRelation(frozenset(edges))
 
 
 def validate_model(m: Pnts, interp: Interpretation, boolean_mode: bool = False) -> list[str]:

@@ -1,12 +1,12 @@
 """Independent ground truth at desk scale.
 
 A direct PCTL model checker over finite models: boolean connectives by set
-operations, path quantifiers by graph fixed points on the underlying edge
-relation, probabilistic next by optimizing over the available distributions,
-and probabilistic until by enumerating every memoryless deterministic
-scheduler and solving each induced chain exactly (qualitative preprocessing
-plus Gaussian elimination over rationals). Deliberately brute force and
-entirely separate from the fixed-point evaluation pipeline it validates.
+operations, path quantifiers by graph fixed points over the distributions,
+probabilistic next by optimizing over the available distributions, and
+probabilistic until by Howard policy iteration over memoryless deterministic
+schedulers, each induced chain solved exactly (qualitative preprocessing
+plus Gaussian elimination over rationals). Entirely separate from the
+fixed-point evaluation pipeline it validates.
 
 Also hosts Kleene iteration: approximating fixed points from 0 upward (mu)
 and from 1 downward (nu), innermost first, with exact stabilization
@@ -18,22 +18,20 @@ so results carry `lower_sound` (no truncated nu loop) and `upper_sound`
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from . import lmu, pctl, terms
-from .model import Distribution, Interpretation, Pnts, underlying_graph
+from .model import Distribution, Interpretation, Pnts
 
 __all__ = [
     "OracleError",
-    "SchedulerSpaceError",
     "pctl_oracle",
     "next_prob",
     "until_prob_md",
     "prob_operator_values",
-    "md_schedulers",
     "chain_of",
     "solve_chain_until",
     "solve_linear_system",
@@ -43,16 +41,11 @@ __all__ = [
     "kleene_lmu",
 ]
 
-DEFAULT_SCHEDULER_CAP = 100_000
 DEFAULT_KLEENE_BUDGET = 10_000
 
 
 class OracleError(ValueError):
     """Unusable oracle input (non-boolean valuation, malformed chain)."""
-
-
-class SchedulerSpaceError(RuntimeError):
-    """The scheduler space exceeds the configured cap; the oracle is desk scale."""
 
 
 # -- exact linear algebra -----------------------------------------------------
@@ -77,34 +70,40 @@ def solve_linear_system(matrix: list[list[Fraction]], rhs: list[Fraction]) -> li
     return [a[i][n] for i in range(n)]
 
 
+# -- graph fixed points -------------------------------------------------------
+
+
+def _hits(m: Pnts, s: str, target, each_dist, each_succ) -> bool:
+    """`s` has distributions and `each_dist` of them (`any` or `all`) has
+    `each_succ` of its successors in the target."""
+    dists = m.distributions(s)
+    return bool(dists) and each_dist(each_succ(t in target for t in d.support) for d in dists)
+
+
+def _attractor(m: Pnts, s1, s2, each_dist, each_succ) -> frozenset[str]:
+    """The least set that contains s2 and every s1 state that `_hits` it."""
+    found = set(s2)
+    changed = True
+    while changed:
+        changed = False
+        for s in m.states:
+            if s not in found and s in s1 and _hits(m, s, found, each_dist, each_succ):
+                found.add(s)
+                changed = True
+    return frozenset(found)
+
+
 # -- chains and schedulers ----------------------------------------------------
 
 
-def md_schedulers(m: Pnts, cap: int = DEFAULT_SCHEDULER_CAP) -> Iterator[dict[str, int]]:
-    """All memoryless deterministic schedulers, in canonical product order."""
-    choice_states = [s for s in m.states if not m.is_deadlock(s)]
-    space = 1
-    for s in choice_states:
-        space *= len(m.distributions(s))
-        if space > cap:
-            raise SchedulerSpaceError(
-                f"scheduler space exceeds cap {cap}; reduce the model"
-            )
-    for combo in itertools.product(*(range(len(m.distributions(s))) for s in choice_states)):
-        yield dict(zip(choice_states, combo))
+def _expectation(d: Distribution, values: Mapping[str, Fraction]) -> Fraction:
+    return sum((w * values[t] for t, w in d.entries), Fraction(0))
 
 
 def chain_of(m: Pnts, choice: Mapping[str, int]) -> Pnts:
     """The chain induced by a scheduler: one distribution per non-deadlock state."""
     transitions = {s: (m.distributions(s)[choice[s]],) for s in choice}
     return Pnts(m.states, transitions)
-
-
-def _chain_distribution(chain: Pnts, state: str) -> Distribution | None:
-    dists = chain.distributions(state)
-    if len(dists) > 1:
-        raise OracleError(f"state {state} has {len(dists)} distributions; not a chain")
-    return dists[0] if dists else None
 
 
 def solve_chain_until(chain: Pnts, s1: frozenset[str], s2: frozenset[str]) -> dict[str, Fraction]:
@@ -115,28 +114,20 @@ def solve_chain_until(chain: Pnts, s1: frozenset[str], s2: frozenset[str]) -> di
     the zero states first makes the system nonsingular, and the solution is
     the least one, the probability of the until event.
     """
-    reach: set[str] = set(s2)
-    changed = True
-    while changed:
-        changed = False
-        for s in chain.states:
-            if s in reach or s not in s1:
-                continue
-            d = _chain_distribution(chain, s)
-            if d and any(t in reach for t in d.support):
-                reach.add(s)
-                changed = True
+    for s in chain.states:
+        dists = chain.distributions(s)
+        if len(dists) > 1 and s in s1 and s not in s2:
+            raise OracleError(f"state {s} has {len(dists)} distributions; not a chain")
+    reach = _attractor(chain, s1, s2, any, any)
     unknown = [s for s in chain.states if s in reach and s not in s2]
     index = {s: i for i, s in enumerate(unknown)}
     matrix: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     for s in unknown:
-        d = _chain_distribution(chain, s)
-        assert d is not None, "reaching states are not deadlocked"
         row = [Fraction(0)] * len(unknown)
         row[index[s]] = Fraction(1)
         b = Fraction(0)
-        for t, w in d.entries:
+        for t, w in chain.distributions(s)[0].entries:
             if t in s2:
                 b += w
             elif t in index:
@@ -156,26 +147,40 @@ def solve_chain_until(chain: Pnts, s1: frozenset[str], s2: frozenset[str]) -> di
 
 
 def until_prob_md(
-    m: Pnts,
-    s1: frozenset[str],
-    s2: frozenset[str],
-    mode: str,
-    cap: int = DEFAULT_SCHEDULER_CAP,
+    m: Pnts, s1: frozenset[str], s2: frozenset[str], mode: str
 ) -> dict[str, Fraction]:
-    """Extremal until probabilities over all memoryless deterministic schedulers."""
+    """Extremal until probabilities over all schedulers, by policy iteration.
+
+    Memoryless deterministic schedulers attain both extremes. Starting from
+    distribution 0 everywhere, each round solves the induced chain exactly
+    and switches every s1 state outside s2 to a distribution that does
+    strictly better on those values; ties keep the current choice, so the
+    rounds terminate and the result is deterministic. For `min`, s1 first
+    shrinks to the states from which every scheduler reaches s2 with
+    positive probability: the others have value 0, and without them every
+    induced chain leaves s1 outside s2 with probability 1, so the min
+    equations have one solution and the iteration cannot stall above it.
+    """
     if mode not in ("max", "min"):
         raise ValueError(f"mode must be max or min, got {mode!r}")
-    best: dict[str, Fraction] | None = None
-    for choice in md_schedulers(m, cap):
-        sol = solve_chain_until(chain_of(m, choice), s1, s2)
-        if best is None:
-            best = sol
-        elif mode == "max":
-            best = {s: max(best[s], sol[s]) for s in m.states}
-        else:
-            best = {s: min(best[s], sol[s]) for s in m.states}
-    assert best is not None, "the empty scheduler always exists"
-    return best
+    if mode == "min":
+        s1 = _attractor(m, s1, s2, all, any)
+    better = operator.gt if mode == "max" else operator.lt
+    choice = {s: 0 for s in m.states if m.distributions(s)}
+    while True:
+        values = solve_chain_until(chain_of(m, choice), s1, s2)
+        switched = False
+        for s in choice:
+            if s not in s1 or s in s2:
+                continue
+            dists = m.distributions(s)
+            best = _expectation(dists[choice[s]], values)
+            for i, d in enumerate(dists):
+                value = _expectation(d, values)
+                if better(value, best):
+                    choice[s], best, switched = i, value, True
+        if not switched:
+            return values
 
 
 def next_prob(m: Pnts, target: frozenset[str], mode: str) -> dict[str, Fraction]:
@@ -197,15 +202,11 @@ def next_prob(m: Pnts, target: frozenset[str], mode: str) -> dict[str, Fraction]
 
 
 def pctl_oracle(
-    phi: pctl.PctlState,
-    m: Pnts,
-    interp: Interpretation,
-    cap: int = DEFAULT_SCHEDULER_CAP,
+    phi: pctl.PctlState, m: Pnts, interp: Interpretation
 ) -> dict[str, bool]:
     """Per-state truth values, computed directly from the path semantics."""
     if not interp.is_boolean():
         raise OracleError("PCTL needs a boolean valuation")
-    succ = underlying_graph(m).successors
 
     def sat(node: pctl.PctlState) -> frozenset[str]:
         if isinstance(node, pctl.TrueFormula):
@@ -216,72 +217,43 @@ def pctl_oracle(
             return frozenset(m.states) - sat(node.body)
         if isinstance(node, pctl.Or):
             return sat(node.left) | sat(node.right)
-        if isinstance(node, pctl.Exists):
-            return _qualitative(node.path, exists=True)
-        if isinstance(node, pctl.Forall):
-            return _qualitative(node.path, exists=False)
+        if isinstance(node, (pctl.Exists, pctl.Forall)):
+            each = any if isinstance(node, pctl.Exists) else all
+            path = node.path
+            if isinstance(path, pctl.Next):
+                # a deadlocked state has one maximal path of length 1, falsifying next
+                target = sat(path.body)
+                return frozenset(s for s in m.states if _hits(m, s, target, each, each))
+            return _attractor(m, sat(path.left), sat(path.right), each, each)
         if isinstance(node, (pctl.ProbExists, pctl.ProbForall)):
-            probs = prob_operator_values(node, m, interp, cap)
+            probs = prob_operator_values(node, m, interp)
             if node.strict:
                 return frozenset(s for s in m.states if probs[s] > node.bound)
             return frozenset(s for s in m.states if probs[s] >= node.bound)
         raise TypeError(f"not a PCTL state formula: {node!r}")
-
-    def _qualitative(path: pctl.PctlPath, exists: bool) -> frozenset[str]:
-        if isinstance(path, pctl.Next):
-            target = sat(path.body)
-            if exists:
-                return frozenset(s for s in m.states if any(t in target for t in succ(s)))
-            # a deadlocked state has one maximal path of length 1, falsifying next
-            return frozenset(
-                s for s in m.states if succ(s) and all(t in target for t in succ(s))
-            )
-        goal = sat(path.right)
-        guard = sat(path.left)
-        sat_set = set(goal)
-        changed = True
-        while changed:
-            changed = False
-            for s in m.states:
-                if s in sat_set or s not in guard:
-                    continue
-                if not succ(s):
-                    continue
-                step = any if exists else all
-                if step(t in sat_set for t in succ(s)):
-                    sat_set.add(s)
-                    changed = True
-        return frozenset(sat_set)
 
     verdict = sat(phi)
     return {s: s in verdict for s in m.states}
 
 
 def prob_operator_values(
-    node: pctl.ProbExists | pctl.ProbForall,
-    m: Pnts,
-    interp: Interpretation,
-    cap: int = DEFAULT_SCHEDULER_CAP,
+    node: pctl.ProbExists | pctl.ProbForall, m: Pnts, interp: Interpretation
 ) -> dict[str, Fraction]:
     """Extremal probability of the operator's path formula, per state: max
     for `Pmax`, min for `Pmin`, with the operand sat-sets from the oracle."""
 
     def sat(operand: pctl.PctlState) -> frozenset[str]:
-        verdict = pctl_oracle(operand, m, interp, cap)
+        verdict = pctl_oracle(operand, m, interp)
         return frozenset(s for s in m.states if verdict[s])
 
     mode = "max" if isinstance(node, pctl.ProbExists) else "min"
     path = node.path
     if isinstance(path, pctl.Next):
         return next_prob(m, sat(path.body), mode)
-    return until_prob_md(m, sat(path.left), sat(path.right), mode, cap)
+    return until_prob_md(m, sat(path.left), sat(path.right), mode)
 
 
 # -- direct evaluation and Kleene iteration ------------------------------------
-
-
-def _expectation(d: Distribution, values: Mapping[str, Fraction]) -> Fraction:
-    return sum((w * values[t] for t, w in d.entries), Fraction(0))
 
 
 def direct_value(phi: lmu.Lmu, m: Pnts, interp: Interpretation) -> dict[str, Fraction]:

@@ -122,14 +122,21 @@ def test_pctl_differential_against_oracle():
 
 def test_pctl_until_ladder_on_exact_size_models():
     """The regression markers of unfolded translation: `E`/`A [P1 U P2]` at
-    8, 16 and 32 states and `Pmax>=q [P1 U P2]` at 8, on boolean models with
-    exactly two distributions per state, through the library API at the
-    interpreter's default recursion limit."""
+    8, 16 and 32 states, `Pmax>=q [P1 U P2]` at 8, 16 and 32, and
+    `Pmin>=1/8`, `Pmin>1/2`, `Pmin>=7/8 [P1 U P2]` at 16 and 32, on boolean
+    models with exactly two distributions per state (2**32 memoryless
+    schedulers at 32 states), through the library API at the interpreter's
+    default recursion limit."""
     rng = random.Random(2024)
     p1, p2 = pctl.Prop("P1"), pctl.Prop("P2")
     until = pctl.Until(p1, p2)
     ladder = [(n, q) for n in (8, 16, 32) for q in (pctl.Exists(until), pctl.Forall(until))]
-    ladder += [(8, pctl.ProbExists(False, F(k, 8), until)) for k in (1, 4, 7)]
+    ladder += [(n, pctl.ProbExists(False, F(k, 8), until)) for n in (8, 16, 32) for k in (1, 4, 7)]
+    ladder += [
+        (n, pctl.ProbForall(strict, bound, until))
+        for n in (16, 32)
+        for strict, bound in ((False, F(1, 8)), (True, F(1, 2)), (False, F(7, 8)))
+    ]
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # the interpreter default; conftest raises it
     try:

@@ -1,12 +1,14 @@
 import json
+import random
 
 import pytest
 
+from generators import rand_bool_interp, rand_model_exact
 from lmucheck import cli
 from lmucheck.cli import main
 from lmucheck.evaluator import EvalError, InternalInvariantError
-from lmucheck.model import ModelError
-from lmucheck.oracle import OracleError, SchedulerSpaceError
+from lmucheck.model import ModelError, render_model
+from lmucheck.oracle import OracleError
 from lmucheck.parser import ParseError
 from lmucheck.rationals import RationalParseError
 from lmucheck.translator import TranslationError
@@ -150,6 +152,25 @@ def test_oracle_subcommand(capsys, model_file):
     assert any(line.startswith("prob s0 = 1") for line in lines)
 
 
+def test_oracle_and_cross_check_beyond_a_million_schedulers(capsys, tmp_path):
+    # 20 states with two distributions each: 2**20 memoryless schedulers
+    rng = random.Random(2)
+    m = rand_model_exact(rng, 20)
+    path = tmp_path / "wide.pnts"
+    path.write_text(render_model(m, rand_bool_interp(rng, m)))
+    formula = "Pmax>=1/2 [ P1 U P2 ]"
+    code, out, err = run(capsys, "oracle", "--model", str(path), "--pctl", formula, "--probs")
+    assert code == 0 and err == ""
+    verdicts, probs = out.splitlines()[:20], out.splitlines()[20:]
+    assert [line.split(" = ")[0] for line in probs] == [f"prob {s}" for s in m.states]
+    assert any(line.endswith(" = 3/4") for line in probs)  # not only 0 and 1
+    code, out, err = run(
+        capsys, "check", "--model", str(path), "--pctl", formula, "--cross-check"
+    )
+    assert code == 0 and err == ""
+    assert out.splitlines() == verdicts + ["cross-check: ok"]
+
+
 def test_input_error_exit_code(capsys, model_file):
     code, _, err = run(capsys, "check", "--model", model_file, "--lmu", "mu X. (")
     assert code == 1
@@ -256,7 +277,6 @@ def test_oracle_unknown_state_is_refused_before_work(capsys, monkeypatch, model_
         EvalError("bad point"),
         OracleError("bad oracle input"),
         TranslationError("bad translation"),
-        SchedulerSpaceError("too many schedulers"),
         OSError("unreadable"),
     ],
     ids=lambda exc: type(exc).__name__,

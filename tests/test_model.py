@@ -11,7 +11,6 @@ from lmucheck.model import (
     Pnts,
     parse_model,
     render_model,
-    underlying_graph,
     validate_model,
 )
 
@@ -27,7 +26,7 @@ def test_parse_two_state():
     m, interp = parse_model(TWO_STATE)
     assert m.states == ("s0", "s1")
     assert len(m.distributions("s0")) == 1
-    assert m.is_deadlock("s1")
+    assert m.distributions("s1") == ()
     assert interp.value("P", "s0") == 1
     assert interp.value("P", "s1") == 0
 
@@ -77,25 +76,6 @@ def test_validate_boolean_mode():
     assert validate_model(m, interp) == []
     errors = validate_model(m, interp, boolean_mode=True)
     assert any("non-boolean" in e for e in errors)
-
-
-def test_underlying_graph_and_deadlocks():
-    m, _ = parse_model(
-        "state s0 s1 s2\ntrans s0 -> { s1: 1/2, s2: 1/2 }\ntrans s0 -> { s0: 1 }"
-    )
-    g = underlying_graph(m)
-    assert g.edges == frozenset({("s0", "s1"), ("s0", "s2"), ("s0", "s0")})
-    assert g.successors("s1") == ()  # deadlocked iff no outgoing edge
-    assert g.successors("s0") == ("s0", "s1", "s2")
-
-
-def test_graph_monotone_in_transitions():
-    m, _ = parse_model("state s0 s1\ntrans s0 -> { s1: 1 }")
-    before = underlying_graph(m).edges
-    order = {"s0": 0, "s1": 1}
-    extra = Distribution.from_dict({"s0": Fraction(1)}, order)
-    bigger = Pnts(m.states, {"s0": m.distributions("s0") + (extra,)})
-    assert before <= underlying_graph(bigger).edges
 
 
 def test_render_parse_round_trip_fixed():

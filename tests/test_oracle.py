@@ -1,18 +1,19 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from generators import rand_model
-from lmucheck.model import parse_model
+from lmucheck.model import Distribution, Interpretation, Pnts, parse_model, render_model
 from lmucheck.oracle import (
     OracleError,
-    SchedulerSpaceError,
     chain_of,
     direct_value,
     kleene_lmu,
     kleene_term,
-    md_schedulers,
     next_prob,
     pctl_oracle,
     solve_chain_until,
@@ -36,6 +37,30 @@ prop G = { goal: 1 }
 trans s0 -> { goal: 1 }
 trans s0 -> { sink: 1 }
 """
+
+# two end components: s0 and s1 can pass the turn to each other forever
+TWO_EXITS = """
+state s0 s1 goal sink
+trans s0 -> { s1: 1 }
+trans s0 -> { goal: 1/2, sink: 1/2 }
+trans s1 -> { s0: 1 }
+trans s1 -> { goal: 1/4, sink: 3/4 }
+"""
+
+
+def md_schedulers(m: Pnts):
+    """All memoryless deterministic schedulers, in canonical product order."""
+    choice_states = [s for s in m.states if m.distributions(s)]
+    for combo in itertools.product(*(range(len(m.distributions(s))) for s in choice_states)):
+        yield dict(zip(choice_states, combo))
+
+
+def enumerated_until(m: Pnts, s1, s2, mode: str) -> dict[str, Fraction]:
+    """The reference for `until_prob_md`: the extremum over every memoryless
+    deterministic scheduler of its chain's until probabilities."""
+    pick = max if mode == "max" else min
+    sols = [solve_chain_until(chain_of(m, choice), s1, s2) for choice in md_schedulers(m)]
+    return {s: pick(sol[s] for sol in sols) for s in m.states}
 
 
 def test_solve_linear_system_exact():
@@ -79,8 +104,6 @@ def test_chain_solution_residual():
 def test_md_scheduler_enumeration():
     m, _ = parse_model(CHOICE)
     assert len(list(md_schedulers(m))) == 2
-    with pytest.raises(SchedulerSpaceError):
-        list(md_schedulers(m, cap=1))
     chain = chain_of(m, {"s0": 1})
     assert chain.distributions("s0")[0].support == ("sink",)
 
@@ -103,16 +126,77 @@ def test_until_prob_trivial_cases():
     assert single == until_prob_md(m, frozenset({"s0"}), frozenset({"goal"}), "min")
 
 
+@pytest.mark.parametrize("loop_first", [True, False])
+def test_until_prob_md_self_loop_or_goal(loop_first):
+    loop, exit_ = "trans s0 -> { s0: 1 }", "trans s0 -> { goal: 1 }"
+    first, second = (loop, exit_) if loop_first else (exit_, loop)
+    m, _ = parse_model(f"state s0 goal\n{first}\n{second}")
+    s1, s2 = frozenset({"s0"}), frozenset({"goal"})
+    # looping forever never reaches goal; starting from the exit, policy
+    # iteration alone would see no strictly better choice than value 1
+    assert until_prob_md(m, s1, s2, "min") == {"s0": F(0), "goal": F(1)}
+    assert until_prob_md(m, s1, s2, "max") == {"s0": F(1), "goal": F(1)}
+
+
+def test_until_prob_md_end_component_with_two_exits():
+    m, _ = parse_model(TWO_EXITS)
+    s1, s2 = frozenset({"s0", "s1"}), frozenset({"goal"})
+    hi = until_prob_md(m, s1, s2, "max")
+    lo = until_prob_md(m, s1, s2, "min")
+    # s1 does best by handing over to s0, which exits with 1/2; a switch on a
+    # tie at s0 would close the loop and drop both to 0
+    assert hi == {"s0": F(1, 2), "s1": F(1, 2), "goal": F(1), "sink": F(0)}
+    assert lo["s0"] == 0
+    assert hi == enumerated_until(m, s1, s2, "max")
+    assert lo == enumerated_until(m, s1, s2, "min")
+
+
 def test_scheduler_consistency_random():
     rng = random.Random(101)
     for _ in range(25):
-        m = rand_model(rng, max_states=3, max_dists=3)
+        m = rand_model(rng, max_states=5, max_dists=3)
         s1 = frozenset(s for s in m.states if rng.random() < 0.7)
         s2 = frozenset(s for s in m.states if rng.random() < 0.4)
         hi = until_prob_md(m, s1, s2, "max")
         lo = until_prob_md(m, s1, s2, "min")
         for s in m.states:
             assert 0 <= lo[s] <= hi[s] <= 1
+        assert hi == enumerated_until(m, s1, s2, "max")
+        assert lo == enumerated_until(m, s1, s2, "min")
+
+
+@st.composite
+def until_problems(draw):
+    """A model of 1-5 states with 1-3 distinct distributions each, rational
+    weights, and random s1 and s2."""
+    n = draw(st.integers(1, 5))
+    states = tuple(f"s{i}" for i in range(n))
+    order = {s: i for i, s in enumerate(states)}
+    transitions = {}
+    for s in states:
+        dists: list[Distribution] = []
+        for _ in range(draw(st.integers(1, 3))):
+            support = draw(st.lists(st.sampled_from(states), min_size=1, unique=True))
+            weights = draw(st.lists(st.integers(1, 4), min_size=len(support), max_size=len(support)))
+            d = Distribution.from_dict(
+                {t: F(w, sum(weights)) for t, w in zip(support, weights)}, order
+            )
+            if d not in dists:
+                dists.append(d)
+        transitions[s] = tuple(dists)
+    subset = st.frozensets(st.sampled_from(states))
+    return Pnts(states, transitions), draw(subset), draw(subset)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(until_problems(), st.sampled_from(["max", "min"]))
+def test_policy_iteration_equals_enumeration(problem, mode):
+    m, s1, s2 = problem
+    # on failure the message is a model file: P1 labels s1, P2 labels s2
+    labels = Interpretation({"P1": {s: F(1) for s in s1}, "P2": {s: F(1) for s in s2}})
+    assert until_prob_md(m, s1, s2, mode) == enumerated_until(m, s1, s2, mode), (
+        f"{mode} [ P1 U P2 ] on\n{render_model(m, labels)}"
+    )
 
 
 def test_next_prob_deadlock_is_zero():
