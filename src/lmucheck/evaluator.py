@@ -11,6 +11,15 @@ The value t(r) is then e(r). Inequalities are stored as `expr > 0` or
 `expr >= 0` with integer coefficients scaled to gcd 1, so condition sets
 deduplicate and order canonically.
 
+All arithmetic inside the evaluator is on integers. A linear expression is
+a `Row`: integer numerators over one positive common denominator, with the
+gcd of all numerators and the denominator equal to 1, so each rational
+expression has exactly one row. The point is held as integer numerators
+over one common denominator, rescaled whenever a scope value changes, and
+an inequality is tested against it with integer products only. `Fraction`
+appears only at the API boundary: the input point, and the `value` and
+`expr` (a `LinExpr`) of an `EvalResult`.
+
 A constant is its own expression under the box conditions 0 <= x <= 1 of
 the variables in scope, as a variable is; no loop runs for it. Other
 non-binder constructors combine the recursive results and record which
@@ -30,10 +39,12 @@ guards against implementation bugs.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Mapping, Sequence
+from math import gcd, lcm
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import terms
 from .rationals import format_rational
@@ -42,6 +53,7 @@ __all__ = [
     "EvalError",
     "InternalInvariantError",
     "LinExpr",
+    "Row",
     "Inequality",
     "EvalResult",
     "cond_holds",
@@ -56,6 +68,8 @@ __all__ = [
 
 DEFAULT_LOOP_CAP = 1_000_000
 
+Coeffs = tuple[tuple[int, int], ...]  # (slot, integer coefficient), slot-ascending, no zeros
+
 
 class EvalError(ValueError):
     """Bad evaluation input (uncovered variable, value outside [0, 1])."""
@@ -67,164 +81,220 @@ class InternalInvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class LinExpr:
-    """Rational linear expression over variable slots."""
+    """Rational linear expression over variable slots: the result form of a row."""
 
     coeffs: tuple[tuple[int, Fraction], ...]  # slot-ascending, zero coefficients omitted
     const: Fraction
 
-    @staticmethod
-    def constant(q: Fraction) -> "LinExpr":
-        return LinExpr((), Fraction(q))
+    def evaluate(self, values: Sequence[Fraction] | Mapping[int, Fraction]) -> Fraction:
+        return sum((c * values[s] for s, c in self.coeffs), self.const)
+
+
+def _numerator(coeffs: Coeffs, const: int, nums: Sequence[int], den: int) -> int:
+    """`coeffs.x + const` at the point x = nums/den, times den."""
+    total = const * den
+    for s, c in coeffs:
+        total += c * nums[s]
+    return total
+
+
+def _combine(a: int, xs: Coeffs, b: int, ys: Coeffs) -> Coeffs:
+    """a*xs + b*ys for nonzero a and b, zero sums dropped."""
+    if not ys:
+        return xs if a == 1 else tuple((s, a * c) for s, c in xs)
+    acc = {s: a * c for s, c in xs}
+    for s, c in ys:
+        acc[s] = acc.get(s, 0) + b * c
+    return tuple(sorted(item for item in acc.items() if item[1]))
+
+
+class Row(NamedTuple):
+    """Linear expression `(sum c*x_slot + const) / den` on integers: den > 0
+    and gcd(all numerators, den) = 1, so equal expressions are equal rows."""
+
+    coeffs: Coeffs
+    const: int
+    den: int
 
     @staticmethod
-    def variable(slot: int) -> "LinExpr":
-        return LinExpr(((slot, Fraction(1)),), Fraction(0))
+    def make(coeffs: Coeffs, const: int, den: int) -> "Row":
+        """Normalize numerators over a nonzero denominator."""
+        if den < 0:
+            coeffs, const, den = tuple((s, -c) for s, c in coeffs), -const, -den
+        g = gcd(den, const, *[c for _, c in coeffs])
+        if g != 1:
+            coeffs, const, den = tuple((s, c // g) for s, c in coeffs), const // g, den // g
+        return Row(coeffs, const, den)
 
-    @staticmethod
-    def _build(coeffs: dict[int, Fraction], const: Fraction) -> "LinExpr":
-        items = tuple(sorted((s, c) for s, c in coeffs.items() if c != 0))
-        return LinExpr(items, const)
-
-    def coefficient(self, slot: int) -> Fraction:
+    def coefficient(self, slot: int) -> int:
+        """Numerator of the slot's coefficient."""
         for s, c in self.coeffs:
             if s == slot:
                 return c
-        return Fraction(0)
+        return 0
 
-    def without(self, slot: int) -> "LinExpr":
-        return LinExpr(tuple((s, c) for s, c in self.coeffs if s != slot), self.const)
+    def plus(self, other: "Row", sign: int = 1) -> "Row":
+        """self + other, or self - other with sign -1."""
+        d1, d2 = self.den, other.den
+        coeffs = _combine(d2, self.coeffs, sign * d1, other.coeffs)
+        return Row.make(coeffs, d2 * self.const + sign * d1 * other.const, d1 * d2)
 
-    def scale(self, q: Fraction) -> "LinExpr":
+    def scale(self, q: Fraction) -> "Row":
         if q == 0:
-            return LinExpr.constant(Fraction(0))
-        return LinExpr(tuple((s, c * q) for s, c in self.coeffs), self.const * q)
+            return ZERO
+        a = q.numerator
+        return Row.make(tuple((s, a * c) for s, c in self.coeffs), a * self.const, self.den * q.denominator)
 
-    def add(self, other: "LinExpr") -> "LinExpr":
-        acc = dict(self.coeffs)
-        for s, c in other.coeffs:
-            acc[s] = acc.get(s, Fraction(0)) + c
-        return LinExpr._build(acc, self.const + other.const)
-
-    def negate(self) -> "LinExpr":
-        return self.scale(Fraction(-1))
-
-    def subtract(self, other: "LinExpr") -> "LinExpr":
-        return self.add(other.negate())
-
-    def substitute(self, slot: int, repl: "LinExpr") -> "LinExpr":
+    def substitute(self, slot: int, repl: "Row") -> "Row":
         c = self.coefficient(slot)
         if c == 0:
             return self
-        return self.without(slot).add(repl.scale(c))
+        rest = tuple(item for item in self.coeffs if item[0] != slot)
+        d = repl.den
+        coeffs = _combine(d, rest, c, repl.coeffs)
+        return Row.make(coeffs, d * self.const + c * repl.const, self.den * d)
 
-    def evaluate(self, values: Sequence[Fraction] | Mapping[int, Fraction]) -> Fraction:
-        # accumulate over a common denominator, normalizing once at the end
-        num, den = self.const.numerator, self.const.denominator
-        for s, c in self.coeffs:
-            v = values[s]
-            cn = c.numerator * v.numerator
-            cd = c.denominator * v.denominator
-            num = num * cd + cn * den
-            den *= cd
-        return Fraction(num, den)
+    def numerator_at(self, nums: Sequence[int], den: int) -> int:
+        """The value at the point nums/den, times self.den * den."""
+        return _numerator(self.coeffs, self.const, nums, den)
 
-    @property
-    def slots(self) -> tuple[int, ...]:
-        return tuple(s for s, _ in self.coeffs)
+    def linexpr(self) -> LinExpr:
+        d = self.den
+        return LinExpr(tuple((s, Fraction(c, d)) for s, c in self.coeffs), Fraction(self.const, d))
 
 
-@dataclass(frozen=True)
+ZERO = Row((), 0, 1)
+ONE = Row((), 1, 1)
+
+
 class Inequality:
-    """Canonical `expr > 0` (strict) or `expr >= 0` over integer coefficients."""
+    """Canonical `expr > 0` (strict) or `expr >= 0` over integer coefficients.
 
-    coeffs: tuple[tuple[int, int], ...]
-    const: int
-    strict: bool
+    Immutable by convention; the hash is computed once, at construction.
+    """
+
+    __slots__ = ("coeffs", "const", "strict", "_key", "_hash")
+
+    def __init__(self, coeffs: Coeffs, const: int, strict: bool):
+        self.coeffs = coeffs
+        self.const = const
+        self.strict = strict
+        self._key = (coeffs, const, strict)
+        self._hash = hash(self._key)
+
+    def __eq__(self, other) -> bool:
+        return self is other or (isinstance(other, Inequality) and self._key == other._key)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Inequality({self.coeffs!r}, {self.const!r}, {self.strict!r})"
 
     @staticmethod
-    def from_linexpr(e: LinExpr, strict: bool) -> "Inequality | bool":
-        """Canonicalize `e > 0` / `e >= 0`; ground inequalities become truth values."""
-        if not e.coeffs:
-            return e.const > 0 if strict else e.const >= 0
-        denom = e.const.denominator
-        for _, c in e.coeffs:
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        ints = [int(c * denom) for _, c in e.coeffs]
-        const = int(e.const * denom)
-        g = abs(const)
-        for v in ints:
-            g = gcd(g, abs(v))
-        coeffs = tuple((s, v // g) for (s, _), v in zip(e.coeffs, ints))
-        return Inequality(coeffs, const // g, strict)
+    def canonical(coeffs: Coeffs, const: int, strict: bool) -> "Inequality | bool":
+        """`coeffs.x + const > 0` (or `>= 0`) divided by the gcd of its
+        numerators; a ground inequality becomes its truth value."""
+        if not coeffs:
+            return const > 0 if strict else const >= 0
+        g = gcd(const, *[c for _, c in coeffs])
+        if g != 1:
+            coeffs, const = tuple((s, c // g) for s, c in coeffs), const // g
+        return Inequality(coeffs, const, strict)
 
-    def as_linexpr(self) -> LinExpr:
-        return LinExpr(tuple((s, Fraction(c)) for s, c in self.coeffs), Fraction(self.const))
+    def holds(self, nums: Sequence[int], den: int) -> bool:
+        """Sign test at the point nums/den (den > 0)."""
+        total = _numerator(self.coeffs, self.const, nums, den)
+        return total > 0 if self.strict else total >= 0
 
-    def holds(self, values: Sequence[Fraction] | Mapping[int, Fraction]) -> bool:
-        # sign test over a common denominator, no normalization needed
-        num, den = self.const, 1
-        for s, c in self.coeffs:
-            v = values[s]
-            num = num * v.denominator + c * v.numerator * den
-            den *= v.denominator
-        return num > 0 if self.strict else num >= 0
-
-    def substitute(self, slot: int, repl: LinExpr) -> "Inequality | bool":
-        if all(s != slot for s, _ in self.coeffs):
+    def substitute(self, slot: int, repl: Row) -> "Inequality | bool":
+        """`c*x + rest ? 0` with x := p/d becomes `d*rest + c*p ? 0`."""
+        for i, (s, c) in enumerate(self.coeffs):
+            if s == slot:
+                break
+        else:
             return self
-        return Inequality.from_linexpr(self.as_linexpr().substitute(slot, repl), self.strict)
+        d = repl.den
+        coeffs = _combine(d, self.coeffs[:i] + self.coeffs[i + 1 :], c, repl.coeffs)
+        return Inequality.canonical(coeffs, d * self.const + c * repl.const, self.strict)
 
     def negation(self) -> "Inequality":
         coeffs = tuple((s, -c) for s, c in self.coeffs)
         return Inequality(coeffs, -self.const, not self.strict)
 
-    def sort_key(self) -> tuple:
-        return (self.coeffs, self.const, self.strict)
+
+def _at_least(a: Row, b: Row) -> "Inequality | bool":
+    """The canonical form of `a - b >= 0`."""
+    coeffs = _combine(b.den, a.coeffs, -a.den, b.coeffs)
+    return Inequality.canonical(coeffs, b.den * a.const - a.den * b.const, False)
+
+
+_canonical_order = operator.attrgetter("_key")  # coefficients, then constant, then strictness
 
 
 def make_conditions(items: Iterable[Inequality]) -> tuple[Inequality, ...]:
     """Deduplicated, canonically ordered condition set."""
-    return tuple(sorted(set(items), key=Inequality.sort_key))
+    return tuple(sorted(set(items), key=_canonical_order))
 
 
-def cond_holds(conditions: Iterable[Inequality], values) -> bool:
-    return all(ineq.holds(values) for ineq in conditions)
+def _scaled_point(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """A rational point as integer numerators over one common denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _first_violated_sorted(conditions: Iterable[Inequality], values) -> Inequality | None:
+def cond_holds(conditions: Iterable[Inequality], values: Sequence[Fraction]) -> bool:
+    nums, den = _scaled_point(values)
+    return all(ineq.holds(nums, den) for ineq in conditions)
+
+
+def _first_violated_sorted(
+    conditions: Iterable[Inequality], nums: Sequence[int], den: int
+) -> Inequality | None:
     """Least failing inequality of a canonically ordered set, None if all hold."""
     for ineq in conditions:
-        if not ineq.holds(values):
+        if not ineq.holds(nums, den):
             return ineq
     return None
 
 
-def normalize_on(
-    conditions: Iterable[Inequality], slot: int
-) -> tuple[list[LinExpr], list[LinExpr]]:
+@functools.cache
+def _box(scope: int) -> tuple[Inequality, ...]:
+    """0 <= x_j <= 1 for every slot in scope; (P2) needs the full box."""
+    return make_conditions(
+        ineq
+        for slot in range(scope)
+        for ineq in (Inequality(((slot, 1),), 0, False), Inequality(((slot, -1),), 1, False))
+    )
+
+
+def normalize_on(conditions: Iterable[Inequality], slot: int) -> tuple[list[Row], list[Row]]:
     """Upper and lower bounds the conditions place on one variable.
 
-    Each inequality mentioning the slot is divided by its coefficient,
-    flipping on sign. Uppers list non-strict bounds before strict ones,
-    lowers strict before non-strict, each group in the canonical order of
-    its source inequalities; the loop breaks ties by this order.
+    Each inequality mentioning the slot is solved for it, flipping on sign.
+    Uppers list non-strict bounds before strict ones, lowers strict before
+    non-strict, each group in the order of the conditions, which must be
+    canonical; the loop breaks ties by this order.
     """
-    upper_nonstrict: list[LinExpr] = []
-    upper_strict: list[LinExpr] = []
-    lower_strict: list[LinExpr] = []
-    lower_nonstrict: list[LinExpr] = []
-    for ineq in sorted(conditions, key=Inequality.sort_key):
-        c = Fraction(0)
+    upper_nonstrict: list[Row] = []
+    upper_strict: list[Row] = []
+    lower_strict: list[Row] = []
+    lower_nonstrict: list[Row] = []
+    for ineq in conditions:
+        c = 0
         for s, v in ineq.coeffs:
             if s == slot:
-                c = Fraction(v)
+                c = v
         if c == 0:
             continue
-        rest = ineq.as_linexpr().without(slot)
-        bound = rest.scale(Fraction(-1) / c)  # solve c*x + rest ? 0 for x
+        # c*x + rest ? 0 solves to x ? -rest/c; the numerators of a canonical
+        # inequality have gcd 1, so the bound needs no further reduction
+        rest = tuple(item for item in ineq.coeffs if item[0] != slot)
         if c > 0:
+            bound = Row(tuple((s, -v) for s, v in rest), -ineq.const, c)
             (lower_strict if ineq.strict else lower_nonstrict).append(bound)
         else:
+            bound = Row(rest, ineq.const, -c)
             (upper_strict if ineq.strict else upper_nonstrict).append(bound)
     return upper_nonstrict + upper_strict, lower_strict + lower_nonstrict
 
@@ -255,8 +325,7 @@ class TermEvaluator:
     def __init__(self, max_loop_iterations: int = DEFAULT_LOOP_CAP):
         self.max_loop_iterations = max_loop_iterations
         self.loop_iterations = 0
-        self._cache: dict[tuple, list[tuple[tuple[Inequality, ...], LinExpr]]] = {}
-        self._range_cache: dict[int, tuple[Inequality, ...]] = {}
+        self._cache: dict[tuple, list[tuple[tuple[Inequality, ...], Row]]] = {}
 
     def evaluate(self, term: terms.Term, point: Mapping[str, Fraction]) -> EvalResult:
         missing = set(term.free) - set(point)
@@ -264,7 +333,7 @@ class TermEvaluator:
             raise EvalError(f"point does not cover variables {sorted(missing)}")
         names = tuple(sorted(point))
         start_iterations = self.loop_iterations
-        self._values: list[Fraction] = []
+        self._values: list[tuple[int, int]] = []  # (numerator, denominator) per slot
         self._names: list[str] = []
         env: dict[str, int] = {}
         for name in names:
@@ -272,18 +341,19 @@ class TermEvaluator:
             if not (0 <= v <= 1):
                 raise EvalError(f"{name} = {format_rational(v)} outside [0, 1]")
             env[name] = len(self._values)
-            self._values.append(v)
+            self._values.append((v.numerator, v.denominator))
             self._names.append(name)
+        self._rescale()
         conditions, expr = self._eval(term, env)
         n_free = len(names)
         if any(s >= n_free for ineq in conditions for s, _ in ineq.coeffs) or any(
-            s >= n_free for s in expr.slots
+            s >= n_free for s, _ in expr.coeffs
         ):
             raise InternalInvariantError("bound slot escaped from a fixed-point loop")
         return EvalResult(
             conditions=conditions,
-            expr=expr,
-            value=expr.evaluate(self._values),
+            expr=expr.linexpr(),
+            value=Fraction(expr.numerator_at(self._nums, self._den), expr.den * self._den),
             variables=names,
             iterations=self.loop_iterations - start_iterations,
         )
@@ -291,12 +361,28 @@ class TermEvaluator:
     def value(self, term: terms.Term, point: Mapping[str, Fraction]) -> Fraction:
         return self.evaluate(term, point).value
 
+    # the point: `_values` holds each slot's value in lowest terms, and
+    # `_nums`/`_den` the same values over their least common denominator,
+    # which is what every inequality test and row evaluation reads
+
+    def _rescale(self) -> None:
+        den = lcm(*(q for _, q in self._values))
+        self._nums = [p * (den // q) for p, q in self._values]
+        self._den = den
+
+    def _set_value(self, slot: int, expr: Row) -> None:
+        num = expr.numerator_at(self._nums, self._den)
+        den = expr.den * self._den
+        g = gcd(num, den)
+        self._values[slot] = (num // g, den // g)
+        self._rescale()
+
     # internal recursion; (P1) is asserted for every newly built inequality:
     # cheaply at constructor nodes (the children were verified when built, at
     # the same point) and in full wherever a loop result enters the tree
 
-    def _verify(self, conds: tuple[Inequality, ...], expr: LinExpr) -> tuple[tuple[Inequality, ...], LinExpr]:
-        bad = _first_violated_sorted(conds, self._values)
+    def _verify(self, conds: tuple[Inequality, ...], expr: Row) -> tuple[tuple[Inequality, ...], Row]:
+        bad = _first_violated_sorted(conds, self._nums, self._den)
         if bad is not None:
             raise InternalInvariantError(
                 f"constructed condition violated at the evaluation point: "
@@ -305,28 +391,28 @@ class TermEvaluator:
         return conds, expr
 
     def _witnessed(
-        self, c1, c2, witness: "Inequality | bool", expr: LinExpr
-    ) -> tuple[tuple[Inequality, ...], LinExpr]:
+        self, c1, c2, witness: "Inequality | bool", expr: Row
+    ) -> tuple[tuple[Inequality, ...], Row]:
         if witness is False:
             raise InternalInvariantError("branch witness is false at the evaluation point")
         if witness is True:
             return make_conditions([*c1, *c2]), expr
-        if not witness.holds(self._values):
+        if not witness.holds(self._nums, self._den):
             raise InternalInvariantError(
                 f"branch witness violated: {render_inequality(witness, self._names)}"
             )
         return make_conditions([*c1, *c2, witness]), expr
 
-    def _eval(self, term: terms.Term, env: dict[str, int]) -> tuple[tuple[Inequality, ...], LinExpr]:
+    def _eval(self, term: terms.Term, env: dict[str, int]) -> tuple[tuple[Inequality, ...], Row]:
         if isinstance(term, terms.TVar):
             slot = env.get(term.name)
             if slot is None:
                 raise EvalError(f"unbound term variable {term.name!r}")
-            if any(not (0 <= v <= 1) for v in self._values):
+            if any(not (0 <= n <= self._den) for n in self._nums):
                 raise InternalInvariantError("a scope variable left [0, 1]")
-            return self._range_conditions(len(self._values)), LinExpr.variable(slot)
+            return _box(len(self._values)), Row(((slot, 1),), 0, 1)
         if isinstance(term, terms.TConst):
-            return self._range_conditions(len(self._values)), LinExpr.constant(term.value)
+            return _box(len(self._values)), ONE if term.value else ZERO
         # every result this evaluation ever produced for a subterm satisfies
         # (P2) universally, so the results collected per (node, scope, slot
         # assignment) form part of a representing system: whenever a previous
@@ -334,10 +420,11 @@ class TermEvaluator:
         # too, and the acceptance test doubles as the (P1) assertion. Shared
         # subterms and the sweeps of enclosing loops revisit nodes constantly,
         # which makes this cache the difference between feasible and hopeless.
-        key = (term, len(self._values), tuple((n, env[n]) for n in term.free))
+        key = (term, len(self._values), tuple([(n, env[n]) for n in term.free]))
         basis = self._cache.setdefault(key, [])
+        nums, den = self._nums, self._den
         for i, (conds, expr) in enumerate(basis):
-            if cond_holds(conds, self._values):
+            if _first_violated_sorted(conds, nums, den) is None:
                 if i:  # move-to-front; deterministic for identical runs
                     basis.insert(0, basis.pop(i))
                 return conds, expr
@@ -345,68 +432,45 @@ class TermEvaluator:
         basis.append(result)
         return result
 
-    def _eval_raw(self, term: terms.Term, env: dict[str, int]) -> tuple[tuple[Inequality, ...], LinExpr]:
+    def _eval_raw(self, term: terms.Term, env: dict[str, int]) -> tuple[tuple[Inequality, ...], Row]:
         if isinstance(term, terms.TScalar):
             conds, expr = self._eval(term.body, env)
             return conds, expr.scale(term.factor)
         if isinstance(term, (terms.TJoin, terms.TMeet)):
             c1, e1 = self._eval(term.left, env)
             c2, e2 = self._eval(term.right, env)
-            v1 = e1.evaluate(self._values)
-            v2 = e2.evaluate(self._values)
+            # compare the values n1/(d1*D) and n2/(d2*D) by cross-multiplying
+            v1 = e1.numerator_at(self._nums, self._den) * e2.den
+            v2 = e2.numerator_at(self._nums, self._den) * e1.den
             prefer_left = v1 >= v2 if isinstance(term, terms.TJoin) else v1 <= v2
             winner, loser = (e1, e2) if prefer_left else (e2, e1)
             if isinstance(term, terms.TJoin):
-                witness = Inequality.from_linexpr(winner.subtract(loser), strict=False)
+                witness = _at_least(winner, loser)
             else:
-                witness = Inequality.from_linexpr(loser.subtract(winner), strict=False)
+                witness = _at_least(loser, winner)
             return self._witnessed(c1, c2, witness, winner)
         if isinstance(term, (terms.TOPlus, terms.TOTimes)):
             c1, e1 = self._eval(term.left, env)
             c2, e2 = self._eval(term.right, env)
-            total = e1.add(e2)
-            s = total.evaluate(self._values)
-            one = LinExpr.constant(Fraction(1))
+            total = e1.plus(e2)
+            # the sign of total - 1 at the point, over the denominator total.den * D
+            excess = total.numerator_at(self._nums, self._den) - total.den * self._den
             if isinstance(term, terms.TOPlus):
-                if s <= 1:
-                    witness = Inequality.from_linexpr(one.subtract(total), strict=False)
-                    result = total
+                if excess <= 0:
+                    witness, result = _at_least(ONE, total), total
                 else:
-                    witness = Inequality.from_linexpr(total.subtract(one), strict=False)
-                    result = one
+                    witness, result = _at_least(total, ONE), ONE
             else:
-                if s - 1 >= 0:
-                    witness = Inequality.from_linexpr(total.subtract(one), strict=False)
-                    result = total.subtract(one)
+                if excess >= 0:
+                    witness, result = _at_least(total, ONE), total.plus(ONE, -1)
                 else:
-                    witness = Inequality.from_linexpr(one.subtract(total), strict=False)
-                    result = LinExpr.constant(Fraction(0))
+                    witness, result = _at_least(ONE, total), ZERO
             return self._witnessed(c1, c2, witness, result)
         if isinstance(term, (terms.TMu, terms.TNu)):
             return self._fixpoint(term, env)
         raise TypeError(f"not a term: {term!r}")
 
-    def _range_conditions(self, scope: int) -> tuple[Inequality, ...]:
-        """0 <= x_j <= 1 for every variable in scope; (P2) needs the full box."""
-        cached = self._range_cache.get(scope)
-        if cached is None:
-            conds: list[Inequality] = []
-            for slot in range(scope):
-                x = LinExpr.variable(slot)
-                low = Inequality.from_linexpr(x, strict=False)
-                high = Inequality.from_linexpr(
-                    LinExpr.constant(Fraction(1)).subtract(x), strict=False
-                )
-                assert isinstance(low, Inequality) and isinstance(high, Inequality)
-                conds.append(low)
-                conds.append(high)
-            cached = make_conditions(conds)
-            self._range_cache[scope] = cached
-        return cached
-
-    def _subst_set(
-        self, conditions: Iterable[Inequality], slot: int, repl: LinExpr
-    ) -> list[Inequality]:
+    def _subst_set(self, conditions: Iterable[Inequality], slot: int, repl: Row) -> list[Inequality]:
         out: list[Inequality] = []
         for ineq in conditions:
             r = ineq.substitute(slot, repl)
@@ -419,26 +483,27 @@ class TermEvaluator:
 
     def _fixpoint(
         self, term: terms.TMu | terms.TNu, env: dict[str, int]
-    ) -> tuple[tuple[Inequality, ...], LinExpr]:
+    ) -> tuple[tuple[Inequality, ...], Row]:
         is_mu = isinstance(term, terms.TMu)
         slot = len(self._values)
-        self._values.append(Fraction(0))
+        self._values.append((0, 1))
         self._names.append(term.var)
         inner_env = {**env, term.var: slot}
         carried: set[Inequality] = set()  # the loop's constraint set D
-        approx = LinExpr.constant(Fraction(0) if is_mu else Fraction(1))
+        approx = ZERO if is_mu else ONE
         try:
             for _ in range(self.max_loop_iterations):
                 self.loop_iterations += 1
-                self._values[slot] = approx.evaluate(self._values)
+                self._set_value(slot, approx)
                 conds, expr = self._eval(term.body, inner_env)
-                q = expr.coefficient(slot)
-                rest = expr.without(slot)
+                # expr = (c*x + rest)/d, so q = c/d and rest/(1-q) = rest/(d-c)
+                c, d = expr.coefficient(slot), expr.den
+                rest = tuple(item for item in expr.coeffs if item[0] != slot)
                 blocker: Inequality | None = None
-                if q != 1:
-                    f = rest.scale(1 / (1 - q))
-                    self._values[slot] = f.evaluate(self._values)
-                    violated = _first_violated_sorted(conds, self._values)
+                if c != d:
+                    f = Row.make(rest, expr.const, d - c)
+                    self._set_value(slot, f)
+                    violated = _first_violated_sorted(conds, self._nums, self._den)
                     if violated is None:
                         merged = (
                             list(carried)
@@ -452,15 +517,18 @@ class TermEvaluator:
                     if sub is not False:  # ground-false negates to a vacuous truth
                         blocker = sub.negation()
                 else:
-                    rest_value = rest.evaluate(self._values)
-                    if rest_value == 0:
-                        eq_low = Inequality.from_linexpr(rest, strict=False)
-                        eq_high = Inequality.from_linexpr(rest.negate(), strict=False)
+                    rest_num = Row(rest, expr.const, d).numerator_at(self._nums, self._den)
+                    negated = tuple((s, -v) for s, v in rest)
+                    if rest_num == 0:
+                        eq_low = Inequality.canonical(rest, expr.const, strict=False)
+                        eq_high = Inequality.canonical(negated, -expr.const, strict=False)
                         merged = list(carried) + self._subst_set(conds, slot, approx)
                         merged += [i for i in (eq_low, eq_high) if isinstance(i, Inequality)]
                         return self._finish(slot, merged, approx)
-                    row = rest if rest_value > 0 else rest.negate()
-                    sign = Inequality.from_linexpr(row, strict=True)
+                    if rest_num > 0:
+                        sign = Inequality.canonical(rest, expr.const, strict=True)
+                    else:
+                        sign = Inequality.canonical(negated, -expr.const, strict=True)
                     if isinstance(sign, Inequality):
                         blocker = sign
                 # find the next approximation
@@ -470,19 +538,17 @@ class TermEvaluator:
                     raise InternalInvariantError(
                         "no bound on the fixed-point variable; conditions must box it"
                     )
-                best = 0
-                best_value = candidates[0].evaluate(self._values)
-                for i, cand in enumerate(candidates[1:], start=1):
-                    v = cand.evaluate(self._values)
-                    if (v < best_value) if is_mu else (v > best_value):
-                        best, best_value = i, v
-                chosen = candidates[best]
+                # compare the values n/(den*D) by cross-multiplying
+                chosen = candidates[0]
+                chosen_num = chosen.numerator_at(self._nums, self._den)
+                for cand in candidates[1:]:
+                    n = cand.numerator_at(self._nums, self._den)
+                    lhs, rhs = n * chosen.den, chosen_num * cand.den
+                    if (lhs < rhs) if is_mu else (lhs > rhs):
+                        chosen, chosen_num = cand, n
                 relations = []
                 for other in candidates:
-                    rel = Inequality.from_linexpr(
-                        other.subtract(chosen) if is_mu else chosen.subtract(other),
-                        strict=False,
-                    )
+                    rel = _at_least(other, chosen) if is_mu else _at_least(chosen, other)
                     if rel is False:
                         raise InternalInvariantError("chosen bound is not extremal")
                     if rel is not True:
@@ -498,10 +564,11 @@ class TermEvaluator:
         finally:
             self._values.pop()
             self._names.pop()
+            self._rescale()
 
     def _finish(
-        self, slot: int, merged: list[Inequality], expr: LinExpr
-    ) -> tuple[tuple[Inequality, ...], LinExpr]:
+        self, slot: int, merged: list[Inequality], expr: Row
+    ) -> tuple[tuple[Inequality, ...], Row]:
         if any(s == slot for ineq in merged for s, _ in ineq.coeffs) or expr.coefficient(slot):
             raise InternalInvariantError("loop result still mentions its bound variable")
         return self._verify(make_conditions(merged), expr)
@@ -532,5 +599,8 @@ def render_lin_expr(e: LinExpr, names: Sequence[str]) -> str:
 
 
 def render_inequality(ineq: Inequality, names: Sequence[str]) -> str:
+    pieces = [f"{c}*{names[s]}" for s, c in ineq.coeffs]
+    if not pieces or ineq.const != 0:
+        pieces.append(str(ineq.const))
     rel = ">" if ineq.strict else ">="
-    return f"{render_lin_expr(ineq.as_linexpr(), names)} {rel} 0"
+    return f"{' + '.join(pieces)} {rel} 0"

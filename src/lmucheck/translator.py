@@ -305,4 +305,11 @@ def translate_all(
         memo[key] = result
         return result
 
-    return {state: walk(phi, frozenset(), state) for state in targets}
+    # the nested functions call each other through this scope's cells, a
+    # reference cycle that only the cyclic garbage collector frees; emptying
+    # the tables keeps the memo from outliving the call until it runs
+    try:
+        return {state: walk(phi, frozenset(), state) for state in targets}
+    finally:
+        memo.clear()
+        relevant_cache.clear()

@@ -75,10 +75,10 @@ def test_worked_example_golden_values():
         assert eval_term(parse_term(WORKED_EXAMPLE), {}).value == 1
         inner = parse_term(WORKED_EXAMPLE_INNER)
         low = eval_term(inner, {"x": F(1, 4)})
-        assert low.expr == LinExpr.constant(F(1, 2))
+        assert low.expr == LinExpr((), F(1, 2))
         assert one_variable_region(low.conditions) == (F(0), False, F(1, 2), True)
         high = eval_term(inner, {"x": F(3, 4)})
-        assert high.expr == LinExpr.constant(F(1))
+        assert high.expr == LinExpr((), F(1))
         assert one_variable_region(high.conditions) == (F(1, 2), False, F(1), False)
 
 

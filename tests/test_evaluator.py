@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from generators import rand_binder_term, rand_point, rand_term, satisfying_samples
 from lmucheck import terms
@@ -10,10 +13,14 @@ from lmucheck.evaluator import (
     Inequality,
     InternalInvariantError,
     LinExpr,
+    Row,
     TermEvaluator,
+    _at_least,
+    _box,
+    _first_violated_sorted,
+    _scaled_point,
     cond_holds,
     eval_closed,
-    _first_violated_sorted,
     eval_term,
     make_conditions,
     normalize_on,
@@ -44,73 +51,262 @@ def interval_of(conditions) -> tuple[Fraction, bool, Fraction, bool]:
     return lo, lo_strict, hi, hi_strict
 
 
+# -- the Fraction reference for the integer kernels ----------------------------
+#
+# The evaluator's linear expressions, inequalities and bound normalization as
+# they were written over `Fraction`, before the loop moved to integer rows.
+# The integer kernels must agree with them exactly.
+
+
+def ref_build(coeffs: dict[int, Fraction], const: Fraction) -> LinExpr:
+    return LinExpr(tuple(sorted((s, c) for s, c in coeffs.items() if c != 0)), const)
+
+
+def ref_constant(q) -> LinExpr:
+    return LinExpr((), F(q))
+
+
+def ref_variable(slot: int) -> LinExpr:
+    return LinExpr(((slot, F(1)),), F(0))
+
+
+def ref_coefficient(e: LinExpr, slot: int) -> Fraction:
+    return dict(e.coeffs).get(slot, F(0))
+
+
+def ref_without(e: LinExpr, slot: int) -> LinExpr:
+    return LinExpr(tuple((s, c) for s, c in e.coeffs if s != slot), e.const)
+
+
+def ref_scale(e: LinExpr, q: Fraction) -> LinExpr:
+    if q == 0:
+        return ref_constant(0)
+    return LinExpr(tuple((s, c * q) for s, c in e.coeffs), e.const * q)
+
+
+def ref_add(e: LinExpr, other: LinExpr) -> LinExpr:
+    acc = dict(e.coeffs)
+    for s, c in other.coeffs:
+        acc[s] = acc.get(s, F(0)) + c
+    return ref_build(acc, e.const + other.const)
+
+
+def ref_negate(e: LinExpr) -> LinExpr:
+    return ref_scale(e, F(-1))
+
+
+def ref_subtract(e: LinExpr, other: LinExpr) -> LinExpr:
+    return ref_add(e, ref_negate(other))
+
+
+def ref_substitute(e: LinExpr, slot: int, repl: LinExpr) -> LinExpr:
+    c = ref_coefficient(e, slot)
+    if c == 0:
+        return e
+    return ref_add(ref_without(e, slot), ref_scale(repl, c))
+
+
+def ref_from_linexpr(e: LinExpr, strict: bool) -> "Inequality | bool":
+    if not e.coeffs:
+        return e.const > 0 if strict else e.const >= 0
+    denom = e.const.denominator
+    for _, c in e.coeffs:
+        denom = denom * c.denominator // gcd(denom, c.denominator)
+    ints = [int(c * denom) for _, c in e.coeffs]
+    const = int(e.const * denom)
+    g = abs(const)
+    for v in ints:
+        g = gcd(g, abs(v))
+    coeffs = tuple((s, v // g) for (s, _), v in zip(e.coeffs, ints))
+    return Inequality(coeffs, const // g, strict)
+
+
+def ref_as_linexpr(ineq: Inequality) -> LinExpr:
+    return LinExpr(tuple((s, F(c)) for s, c in ineq.coeffs), F(ineq.const))
+
+
+def ref_holds(ineq: Inequality, values) -> bool:
+    lhs = ref_as_linexpr(ineq).evaluate(values)
+    return lhs > 0 if ineq.strict else lhs >= 0
+
+
+def ref_ineq_substitute(ineq: Inequality, slot: int, repl: LinExpr) -> "Inequality | bool":
+    if all(s != slot for s, _ in ineq.coeffs):
+        return ineq
+    return ref_from_linexpr(ref_substitute(ref_as_linexpr(ineq), slot, repl), ineq.strict)
+
+
+def ref_normalize_on(conditions, slot: int) -> tuple[list[LinExpr], list[LinExpr]]:
+    upper_nonstrict, upper_strict, lower_strict, lower_nonstrict = [], [], [], []
+    for ineq in sorted(conditions, key=lambda i: (i.coeffs, i.const, i.strict)):
+        c = ref_coefficient(ref_as_linexpr(ineq), slot)
+        if c == 0:
+            continue
+        bound = ref_scale(ref_without(ref_as_linexpr(ineq), slot), F(-1) / c)
+        if c > 0:
+            (lower_strict if ineq.strict else lower_nonstrict).append(bound)
+        else:
+            (upper_strict if ineq.strict else upper_nonstrict).append(bound)
+    return upper_nonstrict + upper_strict, lower_strict + lower_nonstrict
+
+
+def row_of(e: LinExpr) -> Row:
+    """The integer row of a rational expression, independently of `Row.make`."""
+    den = lcm(e.const.denominator, *(c.denominator for _, c in e.coeffs))
+    nums = [int(c * den) for _, c in e.coeffs]
+    g = gcd(den, int(e.const * den), *nums)
+    coeffs = tuple((s, n // g) for (s, _), n in zip(e.coeffs, nums))
+    return Row(coeffs, int(e.const * den) // g, den // g)
+
+
+def ineq_of(e: LinExpr, strict: bool) -> "Inequality | bool":
+    row = row_of(e)
+    return Inequality.canonical(row.coeffs, row.const, strict)
+
+
+def value_at(row: Row, values) -> Fraction:
+    nums, den = _scaled_point(values)
+    return F(row.numerator_at(nums, den), row.den * den)
+
+
+def same(got, expected) -> None:
+    """Equal and of the same kind: an inequality, or the same truth value."""
+    assert type(got) is type(expected) and got == expected, (got, expected)
+
+
+RATIONALS = st.builds(F, st.integers(-12, 12), st.integers(1, 12))
+UNIT = st.builds(lambda n, d: F(min(n, d), d), st.integers(0, 12), st.integers(1, 12))
+SLOTS = st.integers(0, 3)
+EXPRS = st.builds(ref_build, st.dictionaries(SLOTS, RATIONALS, max_size=4), RATIONALS)
+POINTS = st.lists(UNIT, min_size=4, max_size=4)
+KERNEL_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+@KERNEL_SETTINGS
+@given(EXPRS, EXPRS, UNIT, SLOTS, POINTS)
+def test_rows_agree_with_fraction_reference(e1, e2, q, slot, point):
+    r1, r2 = row_of(e1), row_of(e2)
+    for row in (r1, r1.plus(r2), r1.plus(r2, -1), r1.scale(q), r1.substitute(slot, r2)):
+        assert row.den > 0 and gcd(row.den, row.const, *(c for _, c in row.coeffs)) == 1
+    assert r1.linexpr() == e1
+    assert r1.plus(r2).linexpr() == ref_add(e1, e2)
+    assert r1.plus(r2, -1).linexpr() == ref_subtract(e1, e2)
+    assert r1.scale(q).linexpr() == ref_scale(e1, q)
+    assert r1.substitute(slot, r2).linexpr() == ref_substitute(e1, slot, e2)
+    assert F(r1.coefficient(slot), r1.den) == ref_coefficient(e1, slot)
+    assert value_at(r1, point) == e1.evaluate(point)
+
+
+@KERNEL_SETTINGS
+@given(EXPRS, EXPRS, st.booleans(), SLOTS, POINTS)
+@example(ref_build({0: F(1)}, F(-1, 2)), ref_constant(F(1, 2)), True, 0, [F(0)] * 4)  # -> False
+@example(ref_build({0: F(1)}, F(-1, 2)), ref_constant(F(1, 2)), False, 0, [F(0)] * 4)  # -> True
+@example(ref_build({0: F(-2), 1: F(1)}, F(0)), ref_variable(1), False, 0, [F(1)] * 4)
+def test_inequalities_agree_with_fraction_reference(e, repl, strict, slot, point):
+    ineq = ineq_of(e, strict)
+    same(ineq, ref_from_linexpr(e, strict))
+    same(_at_least(row_of(e), row_of(repl)), ref_from_linexpr(ref_subtract(e, repl), False))
+    if isinstance(ineq, Inequality):
+        same(ineq.substitute(slot, row_of(repl)), ref_ineq_substitute(ineq, slot, repl))
+        same(ineq.negation(), ref_from_linexpr(ref_negate(e), not strict))
+        nums, den = _scaled_point(point)
+        assert ineq.holds(nums, den) == ref_holds(ineq, point)
+        assert ineq.negation().holds(nums, den) == (not ref_holds(ineq, point))
+        assert hash(ineq) == hash(ref_from_linexpr(e, strict))
+
+
+@KERNEL_SETTINGS
+@given(st.lists(st.tuples(EXPRS, st.booleans()), max_size=8), SLOTS)
+def test_normalize_on_agrees_with_fraction_reference(sources, slot):
+    conds = make_conditions(
+        i for i in (ref_from_linexpr(e, strict) for e, strict in sources) if isinstance(i, Inequality)
+    )
+    uppers, lowers = normalize_on(conds, slot)
+    ref_uppers, ref_lowers = ref_normalize_on(conds, slot)
+    assert [r.linexpr() for r in uppers] == ref_uppers
+    assert [r.linexpr() for r in lowers] == ref_lowers
+    assert all(r == row_of(r.linexpr()) for r in uppers + lowers)  # already in lowest terms
+
+
+def test_box_conditions_match_reference():
+    expected = make_conditions(
+        ineq
+        for j in range(3)
+        for ineq in (
+            ref_from_linexpr(ref_variable(j), strict=False),
+            ref_from_linexpr(ref_subtract(ref_constant(1), ref_variable(j)), strict=False),
+        )
+    )
+    assert _box(3) == expected
+    assert _box(3) is _box(3)  # built once per scope size
+
+
 # -- linear expressions and inequalities --------------------------------------
 
 
 def test_lin_eval_examples():
-    e = LinExpr(((0, F(1, 2)),), F(1, 4))
-    assert e.evaluate([F(1, 2)]) == F(1, 2)
-    assert LinExpr.constant(F(3, 4)).evaluate([]) == F(3, 4)
-    diff = LinExpr.variable(0).subtract(LinExpr.variable(1))
-    assert diff.evaluate([F(2, 7), F(2, 7)]) == 0
+    e = row_of(LinExpr(((0, F(1, 2)),), F(1, 4)))
+    assert value_at(e, [F(1, 2)]) == F(1, 2)
+    assert value_at(row_of(ref_constant(F(3, 4))), []) == F(3, 4)
+    diff = row_of(ref_variable(0)).plus(row_of(ref_variable(1)), -1)
+    assert value_at(diff, [F(2, 7), F(2, 7)]) == 0
 
 
 def test_lin_subst_examples():
-    e = LinExpr(((1, F(2)),), F(1))  # 2*x1 + 1
-    repl = LinExpr(((0, F(1)),), F(1, 2))  # x0 + 1/2
-    assert e.substitute(1, repl) == LinExpr(((0, F(2)),), F(2))
+    e = row_of(LinExpr(((1, F(2)),), F(1)))  # 2*x1 + 1
+    repl = row_of(LinExpr(((0, F(1)),), F(1, 2)))  # x0 + 1/2
+    assert e.substitute(1, repl) == row_of(LinExpr(((0, F(2)),), F(2)))
     assert e.substitute(5, repl) == e
-    assert LinExpr.variable(0).substitute(0, repl) == repl
+    assert row_of(ref_variable(0)).substitute(0, repl) == repl
 
 
 def test_inequality_canonical_form():
-    half = Inequality.from_linexpr(
-        LinExpr(((0, F(2, 3)),), F(-1, 3)), strict=False
-    )  # 2/3 x - 1/3 >= 0  ->  2x - 1 >= 0
+    half = ineq_of(LinExpr(((0, F(2, 3)),), F(-1, 3)), strict=False)
+    # 2/3 x - 1/3 >= 0  ->  2x - 1 >= 0
     assert isinstance(half, Inequality)
     assert half.coeffs == ((0, 2),) and half.const == -1 and not half.strict
-    assert Inequality.from_linexpr(LinExpr.constant(F(1)), strict=True) is True
-    assert Inequality.from_linexpr(LinExpr.constant(F(0)), strict=True) is False
-    assert Inequality.from_linexpr(LinExpr.constant(F(0)), strict=False) is True
+    assert ineq_of(ref_constant(F(1)), strict=True) is True
+    assert ineq_of(ref_constant(F(0)), strict=True) is False
+    assert ineq_of(ref_constant(F(0)), strict=False) is True
 
 
 def test_cond_holds_and_first_violated():
-    x = LinExpr.variable(0)
-    ge0 = Inequality.from_linexpr(x, strict=False)
-    lt_half = Inequality.from_linexpr(LinExpr.constant(F(1, 2)).subtract(x), strict=True)
+    x = ref_variable(0)
+    ge0 = ineq_of(x, strict=False)
+    lt_half = ineq_of(ref_subtract(ref_constant(F(1, 2)), x), strict=True)
     conds = [ge0, lt_half]
     assert cond_holds(conds, [F(1, 4)])
-    assert _first_violated_sorted(make_conditions(conds), [F(1, 4)]) is None
+    assert _first_violated_sorted(make_conditions(conds), *_scaled_point([F(1, 4)])) is None
     assert not cond_holds(conds, [F(1, 2)])
-    assert _first_violated_sorted(make_conditions(conds), [F(1, 2)]) == lt_half
+    assert _first_violated_sorted(make_conditions(conds), *_scaled_point([F(1, 2)])) == lt_half
     assert cond_holds([], [F(1, 2)])
     # with several failing, the least in canonical order is reported
-    gt_3_4 = Inequality.from_linexpr(x.subtract(LinExpr.constant(F(3, 4))), strict=True)
+    gt_3_4 = ineq_of(ref_subtract(x, ref_constant(F(3, 4))), strict=True)
     both = make_conditions([ge0, lt_half, gt_3_4])
-    expected = min((lt_half, gt_3_4), key=Inequality.sort_key)
-    assert _first_violated_sorted(both, [F(1, 2)]) == expected
+    expected = make_conditions([lt_half, gt_3_4])[0]
+    assert _first_violated_sorted(both, *_scaled_point([F(1, 2)])) == expected
 
 
 def test_normalize_on_scaling_and_flip():
-    two_x_le = Inequality.from_linexpr(
-        LinExpr(((1, F(1)),), F(1)).subtract(LinExpr(((0, F(2)),), F(0))), strict=False
+    two_x_le = ineq_of(
+        ref_subtract(LinExpr(((1, F(1)),), F(1)), LinExpr(((0, F(2)),), F(0))), strict=False
     )  # y + 1 - 2x >= 0  ->  x <= (y+1)/2
-    assert normalize_on([two_x_le], 0) == ([LinExpr(((1, F(1, 2)),), F(1, 2))], [])
-    neg = Inequality.from_linexpr(LinExpr(((0, F(1)),), F(1, 4)), strict=True)
+    assert normalize_on([two_x_le], 0) == ([row_of(LinExpr(((1, F(1, 2)),), F(1, 2)))], [])
+    neg = ineq_of(LinExpr(((0, F(1)),), F(1, 4)), strict=True)
     # x + 1/4 > 0  ->  x > -1/4
-    assert normalize_on([neg], 0) == ([], [LinExpr.constant(F(-1, 4))])
-    untouched = Inequality.from_linexpr(LinExpr.variable(1), strict=False)
+    assert normalize_on([neg], 0) == ([], [row_of(ref_constant(F(-1, 4)))])
+    untouched = ineq_of(ref_variable(1), strict=False)
     assert normalize_on([untouched], 0) == ([], [])
 
 
 def test_normalize_on_candidate_order():
     # uppers: non-strict before strict; lowers: strict before non-strict;
     # within a group, the canonical order of the source inequalities
-    x = LinExpr.variable(0)
+    x = ref_variable(0)
 
     def bound_on_x(q, above, strict):
-        e = x.subtract(LinExpr.constant(q)) if above else LinExpr.constant(q).subtract(x)
-        return Inequality.from_linexpr(e, strict=strict)
+        e = ref_subtract(x, ref_constant(q)) if above else ref_subtract(ref_constant(q), x)
+        return ineq_of(e, strict=strict)
 
     conds = [
         bound_on_x(F(1, 2), above=False, strict=True),  # x < 1/2
@@ -121,9 +317,9 @@ def test_normalize_on_candidate_order():
         bound_on_x(F(1, 8), above=True, strict=False),  # x >= 1/8
     ]
     # canonical order: x <= 3/4, x < 1/2, x <= 1, x >= 0, x > 1/4, x >= 1/8
-    uppers, lowers = normalize_on(conds, 0)
-    assert uppers == [LinExpr.constant(q) for q in (F(3, 4), F(1), F(1, 2))]
-    assert lowers == [LinExpr.constant(q) for q in (F(1, 4), F(0), F(1, 8))]
+    uppers, lowers = normalize_on(make_conditions(conds), 0)
+    assert uppers == [row_of(ref_constant(q)) for q in (F(3, 4), F(1), F(1, 2))]
+    assert lowers == [row_of(ref_constant(q)) for q in (F(1, 4), F(0), F(1, 8))]
 
 
 # -- constructor cases ---------------------------------------------------------
@@ -133,7 +329,7 @@ def test_oplus_saturation():
     t = terms.TOPlus(terms.tconst(F(1, 2)), terms.tconst(F(3, 4)))
     result = eval_term(t, {})
     assert result.value == 1
-    assert result.expr == LinExpr.constant(F(1))
+    assert result.expr == LinExpr((), F(1))
 
 
 def test_oplus_exact_sum():
@@ -190,12 +386,12 @@ def test_worked_example_inner_branches():
     inner = parse_term(WORKED_EXAMPLE_INNER)
     low = eval_term(inner, {"x": F(1, 4)})
     assert low.value == F(1, 2)
-    assert low.expr == LinExpr.constant(F(1, 2))
+    assert low.expr == LinExpr((), F(1, 2))
     assert interval_of(low.conditions) == (F(0), False, F(1, 2), True)  # [0, 1/2)
 
     high = eval_term(inner, {"x": F(3, 4)})
     assert high.value == 1
-    assert high.expr == LinExpr.constant(F(1))
+    assert high.expr == LinExpr((), F(1))
     assert interval_of(high.conditions) == (F(1, 2), False, F(1), False)  # [1/2, 1]
 
 
@@ -242,6 +438,38 @@ def test_constant_runs_no_loop():
         "-2*x + 1 >= 0",
         "-1*x + 1 >= 0",
         "1*x >= 0",
+    ]
+
+
+def test_tied_bounds_keep_the_first_candidate():
+    # two candidate bounds on a loop variable have equal values at this point;
+    # the loop jumps to the first in candidate order, which fixes the region
+    # below (the last tied candidate gives 22 conditions instead of 18)
+    t = parse_term(
+        "nu w. (((x1 \\/ x2) (+) 0*x1) (.) (mu b1. (b1) (+) x0 (.) x2) (.) "
+        "(((x1 /\\ x1) (+) (w /\\ x2)) (.) ((w \\/ w) /\\ x0 (+) w)))"
+    )
+    result = eval_term(t, {"x0": F(1), "x1": F(1), "x2": F(1, 2)})
+    assert result.value == 0 and result.expr == LinExpr((), F(0))
+    assert [render_inequality(i, result.variables) for i in result.conditions] == [
+        "-1*x0 + 1 >= 0",
+        "-1*x0 + -2*x1 + -1*x2 + 4 >= 0",
+        "-1*x0 + -1*x1 + -2*x2 + 3 >= 0",
+        "-1*x0 + -1*x1 + -1*x2 + 3 >= 0",
+        "-1*x0 + -1*x1 + -1*x2 + 3 > 0",
+        "-1*x0 + -1*x2 + 2 >= 0",
+        "1*x0 + -1 >= 0",
+        "1*x0 >= 0",
+        "1*x0 + 1*x1 + 1*x2 + -2 >= 0",
+        "1*x0 + 1*x2 + -1 >= 0",
+        "-1*x1 + 1 >= 0",
+        "-1*x1 + -1*x2 + 2 >= 0",
+        "1*x1 + -1 >= 0",
+        "1*x1 >= 0",
+        "1*x1 + -1*x2 >= 0",
+        "1*x1 + 1*x2 + -1 >= 0",
+        "-1*x2 + 1 >= 0",
+        "1*x2 >= 0",
     ]
 
 
