@@ -33,6 +33,5 @@ from .oracle import (
 )
 from .parser import ParseError, parse_lmu, parse_pctl, parse_term
 from .rationals import format_rational, parse_rational
-from .translator import domination_relation, gamma_step, translate
 
 __version__ = "0.1.0"

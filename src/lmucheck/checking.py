@@ -1,5 +1,12 @@
-"""End-to-end model checking: formula and model in, exact values out."""
+"""End-to-end model checking: formula and model in, exact values out.
 
+Checking runs in strata, as CTL/PCTL checkers label states bottom-up: each
+proper closed subformula that contains a binder (in PCTL encodings, every
+inner `P`, `E` and `A` operator), innermost first, is translated and
+evaluated at every state, then replaced by a fresh proposition holding
+those values. A closed subformula means the same in every environment, so
+no value changes, and the translator folds the proposition like a label.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -34,11 +41,41 @@ def model_check_lmu(
     """Value of a closed formula at each requested state (default: all)."""
     evaluator = TermEvaluator(max_loop_iterations)
     targets = states if states is not None else m.states
-    per_state = translate_all(phi, m, interp, targets)
-    values: dict[str, Fraction] = {}
-    for s in targets:
-        values[s] = evaluator.value(per_state[s], {})
+    root, interp = _stratify(phi, m, interp, evaluator)
+    per_state = translate_all(root, m, interp, targets)
+    values = {s: evaluator.value(per_state[s], {}) for s in targets}
     return CheckOutcome(values, evaluator.loop_iterations, phi)
+
+
+def _stratify(
+    phi: lmu.Lmu, m: Pnts, interp: Interpretation, evaluator: TermEvaluator
+) -> tuple[lmu.Lmu, Interpretation]:
+    """The formula with its strata replaced by fresh propositions, and the
+    interpretation extended by their values.
+
+    The outermost binders inside a closed subformula are closed themselves,
+    so once the strata inside it are replaced, a closed subformula contains
+    a binder only if it is one: the strata are the proper closed binders.
+    """
+    names = None
+    new_of: dict[lmu.Lmu, lmu.Lmu] = {}  # the nodes the rewriting changes
+    for node in reversed(list(lmu.subformulas(phi))):  # children first
+        if node in new_of:
+            continue
+        new = node
+        if new_of:  # nodes are unique, so unchanged children rebuild the node
+            new = type(node)(*(new_of.get(v, v) for v in map(node.__getattribute__, node._fields)))
+        if isinstance(new, (lmu.Mu, lmu.Nu)) and not new.free and node is not phi:
+            if names is None:
+                names = lmu.fresh_names(lmu.used_names(phi) | set(interp.valuation))
+                interp = Interpretation(dict(interp.valuation))
+            per_state = translate_all(new, m, interp)
+            name = next(names)
+            interp.valuation[name] = {s: evaluator.value(per_state[s], {}) for s in m.states}
+            new = lmu.Prop(name)
+        if new is not node:
+            new_of[node] = new
+    return new_of.get(phi, phi), interp
 
 
 def model_check_pctl(

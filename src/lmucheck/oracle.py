@@ -233,6 +233,7 @@ def pctl_oracle(
         raise TypeError(f"not a PCTL state formula: {node!r}")
 
     verdict = sat(phi)
+    sat = None  # break the self-reference: the call's data is freed on return
     return {s: s in verdict for s in m.states}
 
 
@@ -379,4 +380,6 @@ def _kleene(
             return current
         raise TypeError(f"not a formula: {node!r}")
 
-    return KleeneOutcome(walk(phi, free), **flags)
+    value = walk(phi, free)
+    walk = None  # break the self-reference: the call's data is freed on return
+    return KleeneOutcome(value, **flags)

@@ -4,11 +4,25 @@ Binders are first alpha-renamed apart and indexed 1..m in pre-order. The
 translation walks the formula per state, tracking in a context which
 (binder, state) pairs are currently open: a variable hit inside the context
 becomes the term variable `x_i@s`, a miss re-expands its binder at the
-current state after resetting every subordinate binder (those nested inside
-it), and the modalities expand into joins/meets over the available
-distributions of truncated-sum convex combinations. Re-expansion can bind
-the same `x_i@s` at several places, including shadowed nesting; the
-evaluator scopes term variables lexically, so this is sound.
+current state, and the modalities expand into joins/meets over the
+available distributions of truncated-sum convex combinations. Re-expansion
+can bind the same `x_i@s` at several places, including shadowed nesting;
+the evaluator scopes term variables lexically, so this is sound.
+
+The context only ever holds entries of binders that enclose the node being
+walked. Those binders form a chain, and in pre-order an enclosing binder
+numbered below i encloses binder i while one numbered above i is nested in
+it. Hence:
+
+- re-entry at binder i (`gamma_step`) keeps the entries numbered up to i,
+  the enclosing binders and i's own open states, drops those nested in i,
+  and adds (i, s);
+- a node reads no entry numbered above k, the largest binder number among
+  its free variables (0 for a closed node): it looks up only its free
+  variables, re-entry at one of them keeps only entries up to k, and the
+  binders inside it, numbered above every enclosing one, add their own.
+  So (node, entries numbered up to k, state) is an exact memo key, and the
+  walk passes only those entries down.
 
 The walk builds terms through folding constructors, so a constant subterm
 is never built as anything but `tconst(q)`, one node per value.
@@ -49,10 +63,8 @@ __all__ = [
     "TranslationError",
     "BinderIndex",
     "index_binders",
-    "domination_relation",
     "gamma_step",
     "term_var",
-    "translate",
     "translate_all",
 ]
 
@@ -68,10 +80,6 @@ class BinderIndex:
     kinds: tuple[str, ...]  # "mu" | "nu", position i holds binder i+1
     bodies: tuple[lmu.Lmu, ...]
     index_of: dict[str, int]  # bound variable name -> 1-based index
-
-    @property
-    def count(self) -> int:
-        return len(self.kinds)
 
 
 def index_binders(phi: lmu.Lmu) -> BinderIndex:
@@ -89,43 +97,17 @@ def index_binders(phi: lmu.Lmu) -> BinderIndex:
     return BinderIndex(tuple(kinds), tuple(bodies), index_of)
 
 
-def domination_relation(phi: lmu.Lmu) -> frozenset[tuple[int, int]]:
-    """Pairs (i, j), i != j, where binder j occurs inside the body of binder i."""
-    binders = index_binders(phi)
-    pairs: set[tuple[int, int]] = set()
-    for i, body in enumerate(binders.bodies, start=1):
-        for sub in lmu.subformulas(body):
-            if isinstance(sub, (lmu.Mu, lmu.Nu)):
-                pairs.add((i, binders.index_of[sub.var]))
-    return frozenset(pairs)
-
-
 def gamma_step(
-    gamma: frozenset[tuple[int, str]],
-    i: int,
-    state: str,
-    dominates: frozenset[tuple[int, int]],
+    gamma: frozenset[tuple[int, str]], i: int, state: str
 ) -> frozenset[tuple[int, str]]:
-    """Re-entry update: add (i, state), dropping entries of binders i dominates."""
-    kept = {(j, s) for (j, s) in gamma if (i, j) not in dominates}
+    """Re-entry update: keep the entries numbered up to i, add (i, state)."""
+    kept = {(j, s) for (j, s) in gamma if j <= i}
     kept.add((i, state))
     return frozenset(kept)
 
 
 def term_var(i: int, state: str) -> str:
     return f"x_{i}@{state}"
-
-
-def translate(
-    phi: lmu.Lmu,
-    m: Pnts,
-    interp: Interpretation,
-    state: str,
-    *,
-    max_steps: int = 1_000_000,
-) -> terms.Term:
-    """Closed term whose value equals the formula's value at `state`."""
-    return translate_all(phi, m, interp, (state,), max_steps=max_steps)[state]
 
 
 def translate_all(
@@ -149,39 +131,6 @@ def translate_all(
         raise TranslationError(f"formula must be closed; free: {list(phi.free)}")
     phi = lmu.normalize_binders(phi)
     binders = index_binders(phi)
-    dominates = domination_relation(phi)
-
-    # Binder indices whose context entries a subformula can read: its own
-    # free variables plus, transitively, those of every body it can expand
-    # into. Restricting the memo key to these entries lets translations of
-    # closed subformulas be shared across contexts and states.
-    def free_indices(node: lmu.Lmu) -> frozenset[int]:
-        return frozenset(binders.index_of[v] for v in node.free)
-
-    dep = {i: free_indices(binders.bodies[i - 1]) for i in range(1, binders.count + 1)}
-    reach = {i: set(dep[i]) for i in dep}
-    changed = True
-    while changed:
-        changed = False
-        for i in reach:
-            merged = set(reach[i])
-            for j in reach[i]:
-                merged |= reach[j]
-            if merged != reach[i]:
-                reach[i] = merged
-                changed = True
-    relevant_cache: dict[lmu.Lmu, frozenset[int]] = {}
-
-    def relevant(node: lmu.Lmu) -> frozenset[int]:
-        rel = relevant_cache.get(node)
-        if rel is None:
-            base = free_indices(node)
-            closure = set(base)
-            for i in base:
-                closure |= reach[i]
-            rel = frozenset(closure)
-            relevant_cache[node] = rel
-        return rel
 
     # Constant folding. Nodes are unique, so each value has one constant
     # node and the absorbing/neutral tests are identity checks.
@@ -260,8 +209,10 @@ def translate_all(
         return acc
 
     def walk(node: lmu.Lmu, gamma: frozenset[tuple[int, str]], s: str) -> terms.Term:
-        rel = relevant(node)
-        key = (node, frozenset((i, t) for (i, t) in gamma if i in rel), s)
+        # the node reads no entry numbered above its innermost free variable
+        k = max(map(binders.index_of.__getitem__, node.free), default=0)
+        gamma = frozenset(e for e in gamma if e[0] <= k) if k else frozenset()
+        key = (node, gamma, s)
         hit = memo.get(key)
         if hit is not None:
             return hit
@@ -273,7 +224,7 @@ def translate_all(
             if (i, s) in gamma:
                 result: terms.Term = terms.TVar(term_var(i, s))
             else:
-                result = expand(i, gamma_step(gamma, i, s, dominates), s)
+                result = expand(i, gamma_step(gamma, i, s), s)
         elif isinstance(node, lmu.Const):
             result = terms.tconst(node.value)
         elif isinstance(node, lmu.Prop):
@@ -305,11 +256,6 @@ def translate_all(
         memo[key] = result
         return result
 
-    # the nested functions call each other through this scope's cells, a
-    # reference cycle that only the cyclic garbage collector frees; emptying
-    # the tables keeps the memo from outliving the call until it runs
-    try:
-        return {state: walk(phi, frozenset(), state) for state in targets}
-    finally:
-        memo.clear()
-        relevant_cache.clear()
+    per_state = {state: walk(phi, frozenset(), state) for state in targets}
+    walk = None  # break the cycles, all through `walk`: the memo is freed on return
+    return per_state

@@ -28,9 +28,10 @@ from lmucheck.checking import model_check_lmu, model_check_pctl
 from lmucheck.cli import main as cli_main
 from lmucheck.encoder import encode_pctl
 from lmucheck.evaluator import LinExpr, cond_holds, eval_term
+from lmucheck.model import Interpretation
 from lmucheck.oracle import direct_value, kleene_term, pctl_oracle
 from lmucheck.parser import parse_term
-from lmucheck.translator import translate, translate_all
+from lmucheck.translator import translate_all
 
 F = Fraction
 
@@ -155,6 +156,39 @@ def test_pctl_until_ladder_on_exact_size_models():
         sys.setrecursionlimit(limit)
 
 
+def test_nested_pctl_on_sparse_labels():
+    """Nested until with sparse goals, `E`/`A [P1 U Pmax>=1/2 [P1 U P2]]`
+    and `Pmin>=1/2 [P1 U E [P1 U P2]]`, at 12 and 16 states, with `P2` on
+    about 15% and `P1` on about 75% of states, through the library API at
+    the interpreter's default recursion limit. The inner operator is a
+    closed subformula, checked first and folded as a proposition."""
+    inner = pctl.Until(pctl.Prop("P1"), pctl.Prop("P2"))
+    formulas = [
+        pctl.Exists(pctl.Until(pctl.Prop("P1"), pctl.ProbExists(False, F(1, 2), inner))),
+        pctl.Forall(pctl.Until(pctl.Prop("P1"), pctl.ProbExists(False, F(1, 2), inner))),
+        pctl.ProbForall(False, F(1, 2), pctl.Until(pctl.Prop("P1"), pctl.Exists(inner))),
+    ]
+    ladder = [(12, seed) for seed in (1, 2, 3, 4)] + [(16, seed) for seed in (1, 2, 3)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter default; conftest raises it
+    try:
+        with criterion("nested PCTL on sparse labels", 60.0):
+            for n, seed in ladder:
+                rng = random.Random(seed)
+                m = rand_model_exact(rng, n)
+                interp = Interpretation({
+                    "P1": {s: F(rng.random() < 0.75) for s in m.states},
+                    "P2": {s: F(rng.random() < 0.15) for s in m.states},
+                })
+                for phi in formulas:
+                    pipeline = model_check_pctl(phi, m, interp).values
+                    verdict = pctl_oracle(phi, m, interp)
+                    for s in m.states:
+                        assert pipeline[s] == (F(1) if verdict[s] else F(0)), (n, seed, s)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_fixed_point_free_translation_matches_direct_semantics():
     rng = random.Random(4242)
     with criterion("fixed-point-free translation", 60.0):
@@ -164,7 +198,7 @@ def test_fixed_point_free_translation_matches_direct_semantics():
             phi = rand_lmu(rng, depth=rng.randint(0, 3), fixed_point_free=True)
             expected = direct_value(phi, m, interp)
             for s in m.states:
-                t = translate(phi, m, interp, s)
+                t = translate_all(phi, m, interp, (s,))[s]
                 assert eval_term(t, {}).value == expected[s]
 
 

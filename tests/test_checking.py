@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -6,24 +7,45 @@ import pytest
 from generators import rand_interp, rand_lmu, rand_model
 from lmucheck import lmu
 from lmucheck.checking import model_check_lmu, model_check_pctl
+from lmucheck.encoder import encode_pctl
 from lmucheck.evaluator import eval_closed
 from lmucheck.model import parse_model
-from lmucheck.oracle import OracleError, kleene_lmu, kleene_term
+from lmucheck.oracle import OracleError, kleene_lmu, kleene_term, pctl_oracle
 from lmucheck.parser import parse_lmu, parse_pctl
-from lmucheck.translator import translate, translate_all
+from lmucheck.translator import translate_all
+
+CONNECTIVES = [lmu.Join, lmu.Meet, lmu.OPlus, lmu.OTimes]
+MODALITIES = [lmu.Diamond, lmu.Box]
+
+
+def fixed_point(rng: random.Random, var: str, other: lmu.Lmu) -> lmu.Lmu:
+    """`mu`/`nu var. (q*<>var op other)`, `[]` for `<>` at random, with q
+    in (0, 1]."""
+    step = lmu.Scalar(Fraction(rng.randint(1, 4), 4), rng.choice(MODALITIES)(lmu.Var(var)))
+    return rng.choice([lmu.Mu, lmu.Nu])(var, rng.choice(CONNECTIVES)(step, other))
+
+
+def nested_closed_fixed_points(rng: random.Random) -> lmu.Lmu:
+    """A fixed point whose body puts closed fixed points under a modality
+    and under a connective; one of the inner binders may shadow the outer."""
+    literals = [lmu.Prop("P1"), lmu.CoProp("P1"), lmu.Prop("P2"), lmu.CoProp("P2")]
+    inner = [fixed_point(rng, v, rng.choice(literals)) for v in rng.sample("ZWV", 2)]
+    other = rng.choice(CONNECTIVES)(rng.choice(MODALITIES)(inner[0]), inner[1])
+    return fixed_point(rng, "Z", other)
 
 
 def test_shared_evaluation_matches_isolated_evaluation():
-    # the pipeline shares one evaluator and one translation memo across
-    # states; values must equal fresh per-state translation and evaluation
+    # the pipeline checks closed subformulas first and shares one evaluator
+    # and one translation memo across states; values must equal fresh
+    # per-state translation of the whole formula and evaluation
     rng = random.Random(112358)
-    for _ in range(40):
+    for case in range(120):
         m = rand_model(rng, max_states=3, max_dists=2)
         interp = rand_interp(rng, m)
-        phi = rand_lmu(rng, depth=3)
+        phi = rand_lmu(rng, depth=3) if case < 40 else nested_closed_fixed_points(rng)
         shared = model_check_lmu(phi, m, interp).values
         for s in m.states:
-            assert shared[s] == eval_closed(translate(phi, m, interp, s))
+            assert shared[s] == eval_closed(translate_all(phi, m, interp, (s,))[s])
 
 
 def test_outcome_reports_iterations_and_requested_states():
@@ -41,6 +63,37 @@ def test_outcome_reports_iterations_and_requested_states():
     assert list(out.values) == ["s0"]
     assert out.values["s0"] == Fraction(1)
     assert out.iterations > 0
+
+
+def test_checks_leave_no_cyclic_garbage():
+    # what a check builds (model, interpretation, memo tables) is freed by
+    # reference counting when the call returns, not by the cyclic collector
+    m, interp = parse_model(
+        "state s0 s1 s2\n"
+        "prop P1 = { s0: 1, s1: 1 }\n"
+        "prop P2 = { s2: 1 }\n"
+        "trans s0 -> { s0: 1/2, s1: 1/2 }\n"
+        "trans s0 -> { s2: 1 }\n"
+        "trans s1 -> { s0: 1/3, s2: 2/3 }\n"
+    )
+    phi = parse_pctl("E [P1 U Pmax>=1/2 [P1 U P2]]")
+    calls = {
+        "model_check_pctl": lambda: model_check_pctl(phi, m, interp),
+        "pctl_oracle": lambda: pctl_oracle(phi, m, interp),
+        "kleene_lmu": lambda: kleene_lmu(encode_pctl(phi), m, interp),
+    }
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        found = {}
+        for name, call in calls.items():
+            call()
+            found[name] = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert found == dict.fromkeys(calls, 0)
 
 
 def test_pctl_checking_requires_boolean_valuations():

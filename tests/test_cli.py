@@ -128,10 +128,20 @@ def test_translate_all_states(capsys, model_file):
         "s0: mu x_1@s0. (1/2*x_1@s0 (+) 1/2*1)",
         "s1: 1*1",
     ]
-    _, checked, _ = run(capsys, "check", "--model", model_file, "--lmu", "mu X. (P \\/ <>X)")
-    for line, value in zip(out.splitlines(), checked.splitlines()):
-        state, term = line.split(": ")
-        assert f"{state} = {run(capsys, 'eval', '--term', term)[1]}" == value + "\n"
+    # `check` computes the closed inner fixed point first; `translate`
+    # still prints it as a term inside the outer one
+    nested = "mu X. (1/2*(<>X) (+) nu Y. (1/4*1 (+) <>Y /\\ 1/2*~P))"
+    _, nested_out, _ = run(capsys, "translate", "--model", model_file, "--lmu", nested)
+    assert nested_out.splitlines() == [
+        "s0: mu x_1@s0. (1/2*1/2*x_1@s0 (+) nu x_2@s0. (1/4*1 (+) 1/2*x_2@s0 /\\ 1/2*1))",
+        "s1: 0*1",
+    ]
+    for formula, printed in (("mu X. (P \\/ <>X)", out), (nested, nested_out)):
+        _, checked, _ = run(capsys, "check", "--model", model_file, "--lmu", formula)
+        assert len(checked.splitlines()) == 2
+        for line, value in zip(printed.splitlines(), checked.splitlines()):
+            state, term = line.split(": ")
+            assert f"{state} = {run(capsys, 'eval', '--term', term)[1]}" == value + "\n"
 
 
 def test_translate_unknown_state(capsys, model_file):

@@ -12,11 +12,9 @@ from lmucheck.oracle import direct_value, kleene_lmu
 from lmucheck.parser import parse_lmu
 from lmucheck.translator import (
     TranslationError,
-    domination_relation,
     gamma_step,
     index_binders,
     term_var,
-    translate,
     translate_all,
 )
 
@@ -29,23 +27,6 @@ trans s0 -> { s0: 1/2, s1: 1/2 }
 """
 
 
-def test_domination_nested():
-    phi = parse_lmu("mu X. nu Y. (X /\\ Y)")
-    assert domination_relation(lmu.normalize_binders(phi)) == frozenset({(1, 2)})
-
-
-def test_domination_siblings_empty():
-    phi = parse_lmu("mu X. (X) \\/ mu Y. (Y)")
-    assert domination_relation(lmu.normalize_binders(phi)) == frozenset()
-
-
-def test_domination_transitive_nesting():
-    phi = parse_lmu("mu X. mu Y. mu Z. (X \\/ Y \\/ Z)")
-    assert domination_relation(lmu.normalize_binders(phi)) == frozenset(
-        {(1, 2), (1, 3), (2, 3)}
-    )
-
-
 def test_index_binders_requires_distinct():
     phi = parse_lmu("mu X. (X \\/ mu X. X)")
     with pytest.raises(TranslationError, match="distinct"):
@@ -54,22 +35,21 @@ def test_index_binders_requires_distinct():
 
 def test_constants_take_no_binder_number():
     phi = lmu.normalize_binders(parse_lmu("mu X. (1/2*1 \\/ <>X) /\\ 0"))
-    assert index_binders(phi).count == 1
-    assert domination_relation(phi) == frozenset()
+    assert index_binders(phi).kinds == ("mu",)
 
 
 def test_gamma_step():
-    assert gamma_step(frozenset(), 1, "s0", frozenset()) == {(1, "s0")}
-    assert gamma_step(frozenset({(2, "s0")}), 1, "s1", frozenset({(1, 2)})) == {(1, "s1")}
-    assert gamma_step(frozenset({(2, "s0")}), 1, "s1", frozenset()) == {
-        (2, "s0"),
-        (1, "s1"),
-    }
+    # re-entry at binder i drops the entries numbered after i (binders
+    # nested inside it) and keeps the rest, other states of i included
+    assert gamma_step(frozenset(), 1, "s0") == {(1, "s0")}
+    assert gamma_step(frozenset({(2, "s0")}), 1, "s1") == {(1, "s1")}
+    gamma = frozenset({(1, "s0"), (2, "s0"), (2, "s1"), (3, "s0"), (4, "s1")})
+    assert gamma_step(gamma, 2, "s2") == {(1, "s0"), (2, "s0"), (2, "s1"), (2, "s2")}
 
 
 def test_translate_diamond_expectation():
     m, interp = parse_model(COIN)
-    t = translate(parse_lmu("<>P"), m, interp, "s0")
+    t = translate_all(parse_lmu("<>P"), m, interp, ("s0",))["s0"]
     # 1/2*0 (+) 1/2*1 folds to the constant 1/2
     assert t == terms.tconst(F(1, 2))
     assert eval_closed(t) == F(1, 2)
@@ -77,26 +57,26 @@ def test_translate_diamond_expectation():
 
 def test_translate_deadlock_modalities():
     m, interp = parse_model(COIN)
-    assert translate(parse_lmu("<>P"), m, interp, "s1") == terms.tconst(F(0))
-    assert translate(parse_lmu("[]P"), m, interp, "s1") == terms.tconst(F(1))
+    assert translate_all(parse_lmu("<>P"), m, interp, ("s1",))["s1"] == terms.tconst(F(0))
+    assert translate_all(parse_lmu("[]P"), m, interp, ("s1",))["s1"] == terms.tconst(F(1))
 
 
 def test_translate_reachability_value():
     m, interp = parse_model(COIN)
-    t = translate(parse_lmu("mu X. (P \\/ <>X)"), m, interp, "s0")
+    t = translate_all(parse_lmu("mu X. (P \\/ <>X)"), m, interp, ("s0",))["s0"]
     assert eval_closed(t) == 1  # 1/2 + 1/4 + ... exactly
 
 
 def test_translate_requires_closed_formula():
     m, interp = parse_model(COIN)
     with pytest.raises(TranslationError, match="closed"):
-        translate(lmu.Var("X"), m, interp, "s0")
+        translate_all(lmu.Var("X"), m, interp, ("s0",))
 
 
 def test_translate_unknown_state():
     m, interp = parse_model(COIN)
     with pytest.raises(TranslationError, match="unknown state"):
-        translate(lmu.ONE, m, interp, "s9")
+        translate_all(lmu.ONE, m, interp, ("s9",))
 
 
 def test_translated_terms_are_closed():
@@ -106,7 +86,7 @@ def test_translated_terms_are_closed():
         interp = rand_interp(rng, m)
         phi = rand_lmu(rng, depth=3)
         for s in m.states:
-            t = translate(phi, m, interp, s)
+            t = translate_all(phi, m, interp, (s,))[s]
             assert t.free == ()
 
 
@@ -122,7 +102,7 @@ def test_fixed_point_free_matches_direct_recursion():
         phi = rand_lmu(rng, depth=rng.randint(0, 3), fixed_point_free=True)
         direct = direct_value(phi, m, interp)
         for s in m.states:
-            assert eval_closed(translate(phi, m, interp, s)) == direct[s]
+            assert eval_closed(translate_all(phi, m, interp, (s,))[s]) == direct[s]
 
 
 def test_translation_value_within_kleene_bounds():
@@ -133,7 +113,7 @@ def test_translation_value_within_kleene_bounds():
         phi = rand_lmu(rng, depth=3)
         outcome = kleene_lmu(phi, m, interp, budget=300)
         for s in m.states:
-            value = eval_closed(translate(phi, m, interp, s))
+            value = eval_closed(translate_all(phi, m, interp, (s,))[s])
             if outcome.stabilized:
                 assert outcome.value[s] == value
             else:
@@ -146,14 +126,14 @@ def test_translation_value_within_kleene_bounds():
 def test_memoized_translation_is_pure():
     m, interp = parse_model(COIN)
     phi = parse_lmu("mu X. (P \\/ <>X)")
-    assert translate(phi, m, interp, "s0") == translate(phi, m, interp, "s0")
+    assert translate_all(phi, m, interp, ("s0",)) == translate_all(phi, m, interp, ("s0",))
 
 
 def test_translation_step_cap():
     m, interp = parse_model(COIN)
     phi = parse_lmu("mu X. (P \\/ <>X)")
     with pytest.raises(TranslationError, match="steps"):
-        translate(phi, m, interp, "s0", max_steps=2)
+        translate_all(phi, m, interp, ("s0",), max_steps=2)
 
 
 def test_translate_all_shares_subterms():
@@ -161,7 +141,7 @@ def test_translate_all_shares_subterms():
     phi = parse_lmu("mu X. (P \\/ <>X)")
     per_state = translate_all(phi, m, interp)
     assert set(per_state) == {"s0", "s1"}
-    assert per_state["s0"] == translate(phi, m, interp, "s0")
+    assert per_state["s0"] == translate_all(phi, m, interp, ("s0",))["s0"]
     # `lmucheck translate` prints translate_all's terms; one memo shared by
     # all states must not change any state's term
     rng = random.Random(79)
@@ -171,7 +151,7 @@ def test_translate_all_shares_subterms():
         phi = rand_lmu(rng, depth=3)
         per_state = translate_all(phi, m, interp)
         for s in m.states:
-            assert per_state[s] == translate(phi, m, interp, s)
+            assert per_state[s] == translate_all(phi, m, interp, (s,))[s]
 
 
 # s has two distributions, d is deadlocked; `No` is 0 and `Yes` 1 everywhere
@@ -241,7 +221,7 @@ HALF_X = terms.TMu(term_var(1, "s"), terms.TScalar(F(1, 2), X_S))  # mu x. 1/2*x
 def test_fold_rules(text, state, expected):
     m, interp = parse_model(FOLD)
     phi = parse_lmu(text)
-    t = translate(phi, m, interp, state)
+    t = translate_all(phi, m, interp, (state,))[state]
     if isinstance(expected, terms.Term):
         assert t == expected
     else:
@@ -262,11 +242,11 @@ def test_short_circuit_skips_the_decided_operand():
     # P = 1 at s0 decides the join: the binder, the join and P are all the
     # walk visits, while <>X would re-expand the binder at s1
     decided = parse_lmu("mu X. (P \\/ <>X)")
-    assert translate(decided, m, interp, "s0", max_steps=3) == terms.tconst(F(1))
+    assert translate_all(decided, m, interp, ("s0",), max_steps=3)["s0"] == terms.tconst(F(1))
     swapped = parse_lmu("mu X. (<>X \\/ P)")
     with pytest.raises(TranslationError, match="steps"):
-        translate(swapped, m, interp, "s0", max_steps=3)
-    assert translate(swapped, m, interp, "s0") == terms.tconst(F(1))
+        translate_all(swapped, m, interp, ("s0",), max_steps=3)
+    assert translate_all(swapped, m, interp, ("s0",))["s0"] == terms.tconst(F(1))
 
 
 def is_constant(node) -> bool:
