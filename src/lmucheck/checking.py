@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import lmu, pctl
+from . import lmu, pctl, terms
 from .encoder import encode_pctl
 from .evaluator import DEFAULT_LOOP_CAP, TermEvaluator
 from .model import Interpretation, Pnts, validate_model
@@ -43,8 +43,16 @@ def model_check_lmu(
     targets = states if states is not None else m.states
     root, interp = _stratify(phi, m, interp, evaluator)
     per_state = translate_all(root, m, interp, targets)
-    values = {s: evaluator.value(per_state[s], {}) for s in targets}
+    values = {s: _closed_value(evaluator, per_state[s]) for s in targets}
     return CheckOutcome(values, evaluator.loop_iterations, phi)
+
+
+def _closed_value(evaluator: TermEvaluator, term: terms.Term) -> Fraction:
+    """Value of a closed per-state term; a constant `q*1` is q, read off
+    without evaluator state or a loop."""
+    if type(term) is terms.TScalar and term.body is terms.T_ONE:
+        return term.factor
+    return evaluator.value(term, {})
 
 
 def _stratify(
@@ -71,7 +79,7 @@ def _stratify(
                 interp = Interpretation(dict(interp.valuation))
             per_state = translate_all(new, m, interp)
             name = next(names)
-            interp.valuation[name] = {s: evaluator.value(per_state[s], {}) for s in m.states}
+            interp.valuation[name] = {s: _closed_value(evaluator, per_state[s]) for s in m.states}
             new = lmu.Prop(name)
         if new is not node:
             new_of[node] = new

@@ -29,7 +29,7 @@ from .evaluator import (
     render_inequality,
     render_lin_expr,
 )
-from .model import ModelError, parse_model
+from .model import Interpretation, ModelError, parse_model
 from .oracle import OracleError, pctl_oracle, prob_operator_values
 from .parser import ParseError, parse_lmu, parse_pctl, parse_term
 from .rationals import RationalParseError, approx_decimal, format_rational, parse_rational
@@ -45,6 +45,20 @@ def _load_model(path: str):
         except UnicodeDecodeError as exc:
             raise ModelError(str(exc)) from exc
     return parse_model(text)
+
+
+def _require_declared(formula: pctl.PctlState | lmu.Lmu, interp: Interpretation) -> None:
+    """Refuse a formula that reads a proposition the model file does not
+    declare: the library reads such a proposition as 0 at every state, so a
+    misspelt name would give a wrong answer instead of an error."""
+    if isinstance(formula, pctl.PctlState):
+        names = pctl.propositions(formula)
+    else:
+        props = (lmu.Prop, lmu.CoProp)
+        names = {n.name for n in lmu.subformulas(formula) if isinstance(n, props)}
+    missing = sorted(names - interp.valuation.keys())
+    if missing:
+        raise ModelError(f"undeclared propositions: {', '.join(missing)}")
 
 
 def _report_lines(outcome: CheckOutcome, show_approx: bool) -> list[str]:
@@ -83,10 +97,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
         raise ModelError(f"unknown state {states[0]!r}")
     if args.pctl is not None:
         phi = parse_pctl(args.pctl)
+        _require_declared(phi, interp)
         outcome = model_check_pctl(phi, m, interp, states)
         formula_text = args.pctl
     else:
         phi = parse_lmu(args.lmu)
+        _require_declared(phi, interp)
         outcome = model_check_lmu(phi, m, interp, states)
         formula_text = args.lmu
     if args.cross_check:
@@ -116,9 +132,12 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 def _cmd_translate(args: argparse.Namespace) -> int:
     m, interp = _load_model(args.model)
     if args.pctl is not None:
-        formula = encode_pctl(parse_pctl(args.pctl))
+        phi = parse_pctl(args.pctl)
+        _require_declared(phi, interp)
+        formula = encode_pctl(phi)
     else:
         formula = parse_lmu(args.lmu)
+        _require_declared(formula, interp)
     if args.state and args.state not in m.index:
         raise ModelError(f"unknown state {args.state!r}")
     targets = (args.state,) if args.state else m.states
@@ -159,6 +178,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         raise OracleError("--probs cannot be combined with --json")
     m, interp = _load_model(args.model)
     phi = parse_pctl(args.pctl)
+    _require_declared(phi, interp)
     if args.state and args.state not in m.index:
         raise ModelError(f"unknown state {args.state!r}")
     verdict = pctl_oracle(phi, m, interp)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .rationals import RationalParseError, format_rational, parse_rational
 
@@ -28,6 +29,10 @@ __all__ = [
     "render_model",
     "validate_model",
 ]
+
+
+_ZERO = Fraction(0)
+_BOOLEAN = (_ZERO, Fraction(1))
 
 
 class ModelError(ValueError):
@@ -51,7 +56,7 @@ class Distribution:
 
     @property
     def total(self) -> Fraction:
-        return sum((w for _, w in self.entries), Fraction(0))
+        return sum((w for _, w in self.entries), _ZERO)
 
 
 @dataclass
@@ -76,13 +81,13 @@ class Interpretation:
     valuation: dict[str, dict[str, Fraction]]
 
     def value(self, prop: str, state: str) -> Fraction:
-        return self.valuation.get(prop, {}).get(state, Fraction(0))
+        """The label of prop at state; 0 where the valuation has none."""
+        per_state = self.valuation.get(prop)
+        return _ZERO if per_state is None else per_state.get(state, _ZERO)
 
     def is_boolean(self) -> bool:
         return all(
-            v in (Fraction(0), Fraction(1))
-            for per_state in self.valuation.values()
-            for v in per_state.values()
+            v in _BOOLEAN for per_state in self.valuation.values() for v in per_state.values()
         )
 
 
@@ -113,7 +118,7 @@ def validate_model(m: Pnts, interp: Interpretation, boolean_mode: bool = False) 
                 errors.append(f"valuation of {p} mentions undeclared state {s}")
             if not (0 <= v <= 1):
                 errors.append(f"valuation {p}({s}) = {format_rational(v)} outside [0, 1]")
-            elif boolean_mode and v not in (Fraction(0), Fraction(1)):
+            elif boolean_mode and v not in _BOOLEAN:
                 errors.append(
                     f"non-boolean valuation {p}({s}) = {format_rational(v)} in PCTL mode"
                 )
@@ -145,7 +150,12 @@ def _parse_pairs(body: str, lineno: int, what: str) -> list[tuple[str, Fraction]
 
 
 def parse_model(text: str) -> tuple[Pnts, Interpretation]:
-    """Parse and validate a model file, raising ModelError with a line number."""
+    """Parse a model file in one pass.
+
+    Each line is checked as it is read against every invariant that
+    `validate_model` checks, so a parsed model is valid; a violation raises
+    ModelError with the line number.
+    """
     order: dict[str, int] = {}  # declared states, in declaration order
     valuation: dict[str, dict[str, Fraction]] = {}
     trans: dict[str, list[Distribution]] = {}
@@ -176,7 +186,7 @@ def parse_model(text: str) -> tuple[Pnts, Interpretation]:
                     raise ModelError(f"line {lineno}: unknown state {name}")
                 if name in per_state:
                     raise ModelError(f"line {lineno}: repeated state {name}")
-                if not (0 <= q <= 1):
+                if not (0 <= q.numerator <= q.denominator):
                     raise ModelError(
                         f"line {lineno}: valuation {format_rational(q)} outside [0, 1]"
                     )
@@ -194,15 +204,18 @@ def parse_model(text: str) -> tuple[Pnts, Interpretation]:
                     raise ModelError(f"line {lineno}: unknown state {name}")
                 if name in weights:
                     raise ModelError(f"line {lineno}: repeated state {name}")
-                if q == 0:
+                if q.numerator == 0:
                     raise ModelError(f"line {lineno}: zero weight for {name} must be omitted")
-                if not (0 < q <= 1):
+                if not (0 < q.numerator <= q.denominator):
                     raise ModelError(
                         f"line {lineno}: weight {format_rational(q)} outside (0, 1]"
                     )
                 weights[name] = q
-            total = sum(weights.values(), Fraction(0))
-            if total != 1:
+            # the weights sum to 1 if their numerators over a common
+            # denominator sum to it
+            den = lcm(*(q.denominator for q in weights.values()))
+            if sum(q.numerator * (den // q.denominator) for q in weights.values()) != den:
+                total = sum(weights.values(), _ZERO)
                 raise ModelError(
                     f"line {lineno}: distribution sums to {format_rational(total)}, expected 1"
                 )
@@ -216,11 +229,7 @@ def parse_model(text: str) -> tuple[Pnts, Interpretation]:
     if not order:
         raise ModelError("model declares no states")
     pnts = Pnts(tuple(order), {s: tuple(ds) for s, ds in trans.items()})
-    interp = Interpretation(valuation)
-    errors = validate_model(pnts, interp)
-    if errors:
-        raise ModelError("; ".join(errors))
-    return pnts, interp
+    return pnts, Interpretation(valuation)
 
 
 def render_model(m: Pnts, interp: Interpretation) -> str:

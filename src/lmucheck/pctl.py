@@ -30,6 +30,7 @@ __all__ = [
     "TRUE",
     "conj",
     "false",
+    "propositions",
     "render_pctl",
 ]
 
@@ -121,6 +122,23 @@ def conj(left: PctlState, right: PctlState) -> PctlState:
 
 def false() -> PctlState:
     return Not(TRUE)
+
+
+def propositions(phi: PctlState) -> set[str]:
+    """Names of the propositions occurring in phi."""
+    names: set[str] = set()
+    stack: list[PctlState | PctlPath] = [phi]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Prop):
+            names.add(node.name)
+        elif isinstance(node, (Not, Next)):
+            stack.append(node.body)
+        elif isinstance(node, (Or, Until)):
+            stack += (node.left, node.right)
+        elif isinstance(node, (Exists, Forall, ProbExists, ProbForall)):
+            stack.append(node.path)
+    return names
 
 
 _LEVEL_OR = 0

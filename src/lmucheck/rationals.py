@@ -17,9 +17,9 @@ __all__ = [
     "approx_decimal",
 ]
 
-_INT_RE = re.compile(r"^[+-]?\d+$")
-_FRAC_RE = re.compile(r"^[+-]?\d+/(\d+)$")
-_DEC_RE = re.compile(r"^[+-]?\d+\.\d+$")
+# sign, integer digits, then optionally `/` and the denominator's digits or
+# `.` and the fraction's digits
+_RATIONAL_RE = re.compile(r"([+-]?)(\d+)(?:/(\d+)|\.(\d+))?")
 
 
 class RationalParseError(ValueError):
@@ -28,15 +28,19 @@ class RationalParseError(ValueError):
 
 def parse_rational(text: str) -> Fraction:
     """Parse `int`, `int/int` (nonzero denominator) or a terminating decimal."""
-    s = text.strip()
-    if _INT_RE.match(s) or _DEC_RE.match(s):
-        return Fraction(s)
-    m = _FRAC_RE.match(s)
-    if m:
-        if int(m.group(1)) == 0:
+    m = _RATIONAL_RE.fullmatch(text.strip())
+    if m is None:
+        raise RationalParseError(f"malformed rational {text!r}")
+    sign, digits, den_digits, decimals = m.groups()
+    if decimals is not None:
+        num, den = int(digits + decimals), 10 ** len(decimals)
+    elif den_digits is not None:
+        num, den = int(digits), int(den_digits)
+        if den == 0:
             raise RationalParseError(f"zero denominator in {text!r}")
-        return Fraction(s)
-    raise RationalParseError(f"malformed rational {text!r}")
+    else:
+        num, den = int(digits), 1
+    return Fraction(-num if sign == "-" else num, den)
 
 
 def format_rational(q: Fraction) -> str:

@@ -24,9 +24,13 @@ it. Hence:
   So (node, entries numbered up to k, state) is an exact memo key, and the
   walk passes only those entries down.
 
-The walk builds terms through folding constructors, so a constant subterm
-is never built as anything but `tconst(q)`, one node per value.
-Every term denotes a value in [0, 1], which makes each rule exact:
+The walk folds constants as it goes. A subterm that constants decide is
+kept as its value, a `Fraction`, in the memo and in every rule below; no
+node is built for it. A constant becomes the term node `tconst(q)` only
+where it meets an undecided operand (`q \\/ t`, say) and as a per-state
+result, so the terms returned are the same as if every constant were built
+as `tconst(q)` and folded node by node. Every term denotes a value in
+[0, 1], which makes each rule exact:
 
 - two constant operands of `\\/ /\\ (+) (.)` fold to the constant their
   connective computes (max, min, min(1, a+b), max(0, a+b-1));
@@ -67,6 +71,13 @@ __all__ = [
     "term_var",
     "translate_all",
 ]
+
+
+_ONE, _ZERO = Fraction(1), Fraction(0)
+_CLOSED: frozenset[tuple[int, str]] = frozenset()  # the context a closed node reads
+
+# a translated subterm: its value once constants decide it, else a term
+Folded = Fraction | terms.Term
 
 
 class TranslationError(ValueError):
@@ -132,86 +143,89 @@ def translate_all(
     phi = lmu.normalize_binders(phi)
     binders = index_binders(phi)
 
-    # Constant folding. Nodes are unique, so each value has one constant
-    # node and the absorbing/neutral tests are identity checks.
-    def value_of(node: terms.Term) -> Fraction | None:
-        if type(node) is terms.TScalar and node.body is terms.T_ONE:
-            return node.factor
-        return None
-
-    one, zero = terms.tconst(1), terms.tconst(0)
-    absorbing = {terms.TJoin: one, terms.TOPlus: one, terms.TMeet: zero, terms.TOTimes: zero}
-    neutral = {terms.TJoin: zero, terms.TOPlus: zero, terms.TMeet: one, terms.TOTimes: one}
-    fold = {
-        terms.TJoin: max,
-        terms.TMeet: min,
-        terms.TOPlus: lambda a, b: min(Fraction(1), a + b),
-        terms.TOTimes: lambda a, b: max(Fraction(0), a + b - 1),
+    # Constant folding. A decided subterm is its value, a `Fraction`; a term
+    # node is built only where a constant meets an undecided operand.
+    # connective -> (absorbing value, neutral value, value of two constants);
+    # values are compared with ints, which `Fraction` compares fastest
+    rules = {
+        terms.TJoin: (1, 0, max),
+        terms.TMeet: (0, 1, min),
+        terms.TOPlus: (1, 0, lambda a, b: min(_ONE, a + b)),
+        terms.TOTimes: (0, 1, lambda a, b: max(_ZERO, a + b - 1)),
     }
 
-    def combine(cls: type, left: terms.Term, right: terms.Term) -> terms.Term:
-        if left is absorbing[cls] or right is absorbing[cls]:
-            return absorbing[cls]
-        if left is neutral[cls]:
-            return right
-        if right is neutral[cls]:
-            return left
-        a, b = value_of(left), value_of(right)
-        if a is not None and b is not None:
-            return terms.tconst(fold[cls](a, b))
+    def combine(cls: type, left: Folded, right: Folded) -> Folded:
+        absorbing, neutral, fold = rules[cls]
+        if not isinstance(left, terms.Term):
+            if not isinstance(right, terms.Term):
+                return fold(left, right)
+            if left == absorbing:
+                return left
+            if left == neutral:
+                return right
+            return cls(terms.tconst(left), right)
+        if not isinstance(right, terms.Term):
+            if right == absorbing:
+                return right
+            if right == neutral:
+                return left
+            return cls(left, terms.tconst(right))
         return cls(left, right)
 
-    def scale(q: Fraction, body: terms.Term) -> terms.Term:
+    def scale(q: Fraction, body: Folded) -> Folded:
         if q == 1:
             return body
-        v = value_of(body)
-        if v is not None:
-            return terms.tconst(q * v)
+        if not isinstance(body, terms.Term):
+            return q * body
         return terms.TScalar(q, body)
 
-    def bind(cls: type, var: str, body: terms.Term) -> terms.Term:
-        if var not in body.free:
+    def bind(cls: type, var: str, body: Folded) -> Folded:
+        if not isinstance(body, terms.Term) or var not in body.free:
             return body
         if isinstance(body, terms.TVar) and body.name == var:
-            return zero if cls is terms.TMu else one
+            return _ZERO if cls is terms.TMu else _ONE
         return cls(var, body)
 
-    memo: dict[tuple[lmu.Lmu, frozenset[tuple[int, str]], str], terms.Term] = {}
+    memo: dict[tuple[lmu.Lmu, frozenset[tuple[int, str]], str], Folded] = {}
     steps = [0]
 
-    def expand(i: int, gamma: frozenset[tuple[int, str]], s: str) -> terms.Term:
+    def expand(i: int, gamma: frozenset[tuple[int, str]], s: str) -> Folded:
         body = walk(binders.bodies[i - 1], gamma, s)
         cls = terms.TMu if binders.kinds[i - 1] == "mu" else terms.TNu
         return bind(cls, term_var(i, s), body)
 
-    def modal_sum(d, sub: lmu.Lmu, gamma: frozenset[tuple[int, str]]) -> terms.Term:
-        acc: terms.Term | None = None
+    def modal_sum(d, sub: lmu.Lmu, gamma: frozenset[tuple[int, str]]) -> Folded:
+        acc: Folded | None = None
         for target, weight in d.entries:
             piece = scale(weight, walk(sub, gamma, target))
             acc = piece if acc is None else combine(terms.TOPlus, acc, piece)
-            if acc is one:
+            if not isinstance(acc, terms.Term) and acc == 1:
                 break
         assert acc is not None, "distributions have nonempty support"
         return acc
 
     def modal(
         cls: type, node: lmu.Diamond | lmu.Box, gamma: frozenset[tuple[int, str]], s: str
-    ) -> terms.Term:
+    ) -> Folded:
+        absorbing = rules[cls][0]
         dists = m.distributions(s)
         if not dists:  # the empty join is 0, the empty meet 1
-            return neutral[cls]
-        acc: terms.Term | None = None
+            return _ZERO if cls is terms.TJoin else _ONE
+        acc: Folded | None = None
         for d in dists:
             piece = modal_sum(d, node.body, gamma)
             acc = piece if acc is None else combine(cls, acc, piece)
-            if acc is absorbing[cls]:
+            if not isinstance(acc, terms.Term) and acc == absorbing:
                 break
         return acc
 
-    def walk(node: lmu.Lmu, gamma: frozenset[tuple[int, str]], s: str) -> terms.Term:
+    def walk(node: lmu.Lmu, gamma: frozenset[tuple[int, str]], s: str) -> Folded:
         # the node reads no entry numbered above its innermost free variable
-        k = max(map(binders.index_of.__getitem__, node.free), default=0)
-        gamma = frozenset(e for e in gamma if e[0] <= k) if k else frozenset()
+        if node.free:
+            k = max(map(binders.index_of.__getitem__, node.free))
+            gamma = frozenset(e for e in gamma if e[0] <= k)
+        else:
+            gamma = _CLOSED
         key = (node, gamma, s)
         hit = memo.get(key)
         if hit is not None:
@@ -222,24 +236,24 @@ def translate_all(
         if isinstance(node, lmu.Var):
             i = binders.index_of[node.name]
             if (i, s) in gamma:
-                result: terms.Term = terms.TVar(term_var(i, s))
+                result: Folded = terms.TVar(term_var(i, s))
             else:
                 result = expand(i, gamma_step(gamma, i, s), s)
         elif isinstance(node, lmu.Const):
-            result = terms.tconst(node.value)
+            result = node.value
         elif isinstance(node, lmu.Prop):
-            result = terms.tconst(interp.value(node.name, s))
+            result = interp.value(node.name, s)
         elif isinstance(node, lmu.CoProp):
-            result = terms.tconst(1 - interp.value(node.name, s))
+            result = 1 - interp.value(node.name, s)
         elif isinstance(node, lmu.Scalar):
             # 0*t is decided without walking t
-            result = zero if node.factor == 0 else scale(node.factor, walk(node.body, gamma, s))
+            result = _ZERO if node.factor == 0 else scale(node.factor, walk(node.body, gamma, s))
         elif isinstance(node, (lmu.Join, lmu.Meet, lmu.OPlus, lmu.OTimes)):
             # the connective carries over to the term unchanged; a left
             # operand that decides it leaves the right one unwalked
             cls = type(node)
             left = walk(node.left, gamma, s)
-            if left is absorbing[cls]:
+            if not isinstance(left, terms.Term) and left == rules[cls][0]:
                 result = left
             else:
                 result = combine(cls, left, walk(node.right, gamma, s))
@@ -256,6 +270,9 @@ def translate_all(
         memo[key] = result
         return result
 
-    per_state = {state: walk(phi, frozenset(), state) for state in targets}
+    per_state = {}
+    for state in targets:
+        result = walk(phi, _CLOSED, state)
+        per_state[state] = result if isinstance(result, terms.Term) else terms.tconst(result)
     walk = None  # break the cycles, all through `walk`: the memo is freed on return
     return per_state

@@ -3,12 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from generators import rand_interp, rand_lmu, rand_model
-from lmucheck import lmu
-from lmucheck.checking import model_check_lmu, model_check_pctl
+from lmucheck import lmu, terms
+from lmucheck.checking import _closed_value, model_check_lmu, model_check_pctl
 from lmucheck.encoder import encode_pctl
-from lmucheck.evaluator import eval_closed
+from lmucheck.evaluator import TermEvaluator, eval_closed
 from lmucheck.model import parse_model
 from lmucheck.oracle import OracleError, kleene_lmu, kleene_term, pctl_oracle
 from lmucheck.parser import parse_lmu, parse_pctl
@@ -147,3 +149,19 @@ def test_every_node_class_through_every_walker():
         assert outcome.stabilized and outcome.value == out.values[s]
     # mu x_1@s1 would bind nothing: its body does not mention x_1@s1
     assert lmu.render_lmu(per_state["s1"]).startswith("nu x_2@s1. ")
+
+
+class _NoEvaluator:
+    def value(self, term, point):
+        raise AssertionError("the evaluator ran")
+
+
+@given(st.fractions(min_value=0, max_value=1, max_denominator=1000))
+def test_constant_terms_are_read_off(q):
+    # a per-state constant `q*1` is its value, read off without the
+    # evaluator; evaluating it runs no loop and gives the same value
+    t = terms.tconst(q)
+    assert _closed_value(_NoEvaluator(), t) == q
+    reference = TermEvaluator().evaluate(t, {})
+    assert reference.value == q
+    assert reference.iterations == 0

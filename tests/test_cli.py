@@ -4,7 +4,7 @@ import random
 import pytest
 
 from generators import rand_bool_interp, rand_model_exact
-from lmucheck import cli
+from lmucheck import checking, cli, model
 from lmucheck.cli import main
 from lmucheck.evaluator import EvalError, InternalInvariantError
 from lmucheck.model import ModelError, render_model
@@ -273,6 +273,51 @@ def test_oracle_unknown_state_is_refused_before_work(capsys, monkeypatch, model_
     )
     assert code == 1 and out == ""
     assert "unknown state 's9'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--lmu", "<>P3 \\/ ~Q"],
+        ["check", "--pctl", "E [P U (P3 | Q)]"],
+        ["translate", "--lmu", "<>P3 \\/ ~Q"],
+        ["translate", "--pctl", "E [P U (P3 | Q)]"],
+        ["oracle", "--pctl", "Pmax>=1/2 [X !P3] & A [Q U P]"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_undeclared_propositions_are_refused(capsys, model_file, argv):
+    # the library reads an undeclared proposition as 0 everywhere; at the
+    # command line a misspelt name is an input error, not a wrong answer
+    code, out, err = run(capsys, argv[0], "--model", model_file, *argv[1:])
+    assert code == 1 and out == ""
+    assert "undeclared propositions: P3, Q" in err
+
+
+def test_pctl_check_runs_both_boolean_guards(capsys, monkeypatch, model_file):
+    # parsing checks the model's invariants itself; a PCTL check then runs
+    # the boolean pass of `validate_model` once and the oracle's own
+    # `is_boolean` once
+    validations, boolean_checks = [], []
+    validate, is_boolean = model.validate_model, model.Interpretation.is_boolean
+
+    def counted_validate(m, interp, boolean_mode=False):
+        validations.append(boolean_mode)
+        return validate(m, interp, boolean_mode)
+
+    def counted_is_boolean(interp):
+        boolean_checks.append(interp)
+        return is_boolean(interp)
+
+    monkeypatch.setattr(model, "validate_model", counted_validate)
+    monkeypatch.setattr(checking, "validate_model", counted_validate)
+    monkeypatch.setattr(model.Interpretation, "is_boolean", counted_is_boolean)
+    code, _, _ = run(
+        capsys, "check", "--model", model_file, "--pctl", "E [P U P]", "--cross-check"
+    )
+    assert code == 0
+    assert validations == [True]
+    assert len(boolean_checks) == 1
 
 
 # -- exit codes ------------------------------------------------------------------

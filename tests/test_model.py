@@ -93,3 +93,27 @@ def test_render_parse_round_trip_random():
         m2, interp2 = parse_model(render_model(m, interp))
         assert m2 == m
         assert interp2 == interp
+        assert validate_model(m2, interp2) == []  # parsing alone validates
+
+
+# parsing checks every invariant `validate_model` checks, line by line, so a
+# parsed model never needs the second pass; the tests above cover a target
+# outside the declared states, a zero weight, a sum below 1 and a valuation
+# above 1
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("state s0 s0", "line 1: duplicate state s0"),
+        ("state s0\nstate s0", "line 2: duplicate state s0"),
+        ("state s0\ntrans s1 -> { s0: 1 }", "line 2: unknown state s1"),
+        ("state s0\nprop P = { s9: 1 }", "line 2: unknown state s9"),
+        ("state s0 s1\ntrans s0 -> { s0: 3/2, s1: -1/2 }", r"line 2: weight 3/2 outside \(0, 1\]"),
+        ("state s0 s1\ntrans s0 -> { s0: -1/2, s1: 3/2 }", r"line 2: weight -1/2 outside \(0, 1\]"),
+        ("state s0 s1\ntrans s0 -> { s0: 1, s1: 1/3 }", "line 2: distribution sums to 4/3"),
+        ("state s0\nprop P = { s0: -1 }", r"line 2: valuation -1 outside \[0, 1\]"),
+    ],
+)
+def test_parse_alone_enforces_every_invariant(text, message):
+    with pytest.raises(ModelError, match=message):
+        parse_model(text)
+

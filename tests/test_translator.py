@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from generators import rand_interp, rand_lmu, rand_model, term_dag
+from generators import rand_interp, rand_lmu, rand_model, rand_model_exact, term_dag
 from lmucheck import lmu, terms
 from lmucheck.checking import model_check_lmu
 from lmucheck.evaluator import eval_closed
@@ -292,3 +292,20 @@ def test_folded_values_within_kleene_bounds_on_random_corpus():
                 assert outcome.value[s] <= values[s]
             if outcome.upper_sound:
                 assert outcome.value[s] >= values[s]
+
+
+def test_constants_fold_to_values_not_nodes(monkeypatch):
+    # a fixed-point-free formula folds to a constant at every state; the
+    # walk keeps those constants as values, so the only constant nodes built
+    # are the per-state results
+    rng = random.Random(41)
+    m = rand_model_exact(rng, 200, n_dists=2, max_support=3)
+    interp = rand_interp(rng, m)
+    phi = parse_lmu("<>(P1 \\/ []~P2) (+) 1/2*(P2 (.) <>P1) /\\ [](1/3*1 \\/ ~P1)")
+    built = []
+    tconst = terms.tconst
+    monkeypatch.setattr(terms, "tconst", lambda q: built.append(q) or tconst(q))
+    per_state = translate_all(phi, m, interp)
+    assert len(built) <= len(m.states)
+    expected = direct_value(phi, m, interp)
+    assert per_state == {s: tconst(expected[s]) for s in m.states}
