@@ -61,6 +61,17 @@ def _require_declared(formula: pctl.PctlState | lmu.Lmu, interp: Interpretation)
         raise ModelError(f"undeclared propositions: {', '.join(missing)}")
 
 
+def _load_input(args: argparse.Namespace):
+    """The model, the parsed `--pctl`/`--lmu` formula and the target states
+    (`--state`, else all) of a command that reads a model file."""
+    m, interp = _load_model(args.model)
+    phi = parse_pctl(args.pctl) if args.pctl is not None else parse_lmu(args.lmu)
+    _require_declared(phi, interp)
+    if args.state and args.state not in m.index:
+        raise ModelError(f"unknown state {args.state!r}")
+    return m, interp, phi, (args.state,) if args.state else m.states
+
+
 def _report_lines(outcome: CheckOutcome, show_approx: bool) -> list[str]:
     lines = []
     for s, v in outcome.values.items():
@@ -91,19 +102,12 @@ def _report_json(formula_text: str, values: dict[str, Fraction], iterations: int
 def _cmd_check(args: argparse.Namespace) -> int:
     if args.cross_check and args.pctl is None:
         raise ModelError("--cross-check needs a PCTL formula")
-    m, interp = _load_model(args.model)
-    states = (args.state,) if args.state else None
-    if states and states[0] not in m.index:
-        raise ModelError(f"unknown state {states[0]!r}")
+    m, interp, phi, targets = _load_input(args)
     if args.pctl is not None:
-        phi = parse_pctl(args.pctl)
-        _require_declared(phi, interp)
-        outcome = model_check_pctl(phi, m, interp, states)
+        outcome = model_check_pctl(phi, m, interp, targets)
         formula_text = args.pctl
     else:
-        phi = parse_lmu(args.lmu)
-        _require_declared(phi, interp)
-        outcome = model_check_lmu(phi, m, interp, states)
+        outcome = model_check_lmu(phi, m, interp, targets)
         formula_text = args.lmu
     if args.cross_check:
         verdict = pctl_oracle(phi, m, interp)
@@ -130,17 +134,8 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 
 def _cmd_translate(args: argparse.Namespace) -> int:
-    m, interp = _load_model(args.model)
-    if args.pctl is not None:
-        phi = parse_pctl(args.pctl)
-        _require_declared(phi, interp)
-        formula = encode_pctl(phi)
-    else:
-        formula = parse_lmu(args.lmu)
-        _require_declared(formula, interp)
-    if args.state and args.state not in m.index:
-        raise ModelError(f"unknown state {args.state!r}")
-    targets = (args.state,) if args.state else m.states
+    m, interp, phi, targets = _load_input(args)
+    formula = encode_pctl(phi) if args.pctl is not None else phi
     per_state = translate_all(formula, m, interp, targets)
     for s in targets:
         if len(targets) == 1:
@@ -176,13 +171,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.json and args.probs:
         raise OracleError("--probs cannot be combined with --json")
-    m, interp = _load_model(args.model)
-    phi = parse_pctl(args.pctl)
-    _require_declared(phi, interp)
-    if args.state and args.state not in m.index:
-        raise ModelError(f"unknown state {args.state!r}")
+    m, interp, phi, states = _load_input(args)
     verdict = pctl_oracle(phi, m, interp)
-    states = (args.state,) if args.state else m.states
     if args.json:
         values = {s: Fraction(int(verdict[s])) for s in states}
         print(_report_json(args.pctl, values, 0))

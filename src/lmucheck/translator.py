@@ -47,6 +47,15 @@ as `tconst(q)` and folded node by node. Every term denotes a value in
 - propositions, co-propositions, deadlocked modalities (the empty join is
   0, the empty meet 1) and the per-distribution sums use the same rules.
 
+Strata: given an evaluator, the walk also evaluates each proper closed
+binder (`mu`/`nu` with no free variable, other than the root) at each state
+it reaches, and keeps the value in the memo under (node, {}, state). The
+enclosing formula folds that value like a label, as a state-labelling
+checker does with a nested `P` operator; a closed subformula means the same
+in every context, so no value changes. Without an evaluator, as in
+`translate`, the walk builds the whole unstratified term, the reference
+object.
+
 Short-circuit: when the left operand of `\\/`/`(+)` folds to 1, or that of
 `/\\`/`(.)` to 0, or a formula scalar is 0, the other operand is not walked,
 since the rules above decide the result without it; a modality's join,
@@ -61,6 +70,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lmu, terms
+from .evaluator import TermEvaluator
 from .model import Interpretation, Pnts
 
 __all__ = [
@@ -128,11 +138,14 @@ def translate_all(
     states: tuple[str, ...] | None = None,
     *,
     max_steps: int = 1_000_000,
+    evaluator: TermEvaluator | None = None,
 ) -> dict[str, terms.Term]:
     """Per-state closed terms, maximally shared across states.
 
     The per-state terms reuse identical subterm objects (one memo covers all
-    requested states), which downstream evaluation caches exploit.
+    requested states), which downstream evaluation caches exploit. With an
+    `evaluator`, each proper closed fixed point is evaluated where the walk
+    reaches it and stands in the terms as its value.
     """
     targets = m.states if states is None else states
     for state in targets:
@@ -265,6 +278,9 @@ def translate_all(
             i = binders.index_of[node.var]
             body = walk(node.body, gamma | {(i, s)}, s)
             result = bind(type(node), term_var(i, s), body)
+            if evaluator is not None and not node.free and node is not phi:
+                if isinstance(result, terms.Term):  # a stratum: keep its value
+                    result = evaluator.value(result, {})
         else:
             raise TypeError(f"not a formula: {node!r}")
         memo[key] = result

@@ -161,7 +161,8 @@ def test_nested_pctl_on_sparse_labels():
     and `Pmin>=1/2 [P1 U E [P1 U P2]]`, at 12 and 16 states, with `P2` on
     about 15% and `P1` on about 75% of states, through the library API at
     the interpreter's default recursion limit. The inner operator is a
-    closed subformula, checked first and folded as a proposition."""
+    closed subformula, evaluated where the translation walk reaches it and
+    folded as a value."""
     inner = pctl.Until(pctl.Prop("P1"), pctl.Prop("P2"))
     formulas = [
         pctl.Exists(pctl.Until(pctl.Prop("P1"), pctl.ProbExists(False, F(1, 2), inner))),

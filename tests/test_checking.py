@@ -37,9 +37,9 @@ def nested_closed_fixed_points(rng: random.Random) -> lmu.Lmu:
 
 
 def test_shared_evaluation_matches_isolated_evaluation():
-    # the pipeline checks closed subformulas first and shares one evaluator
-    # and one translation memo across states; values must equal fresh
-    # per-state translation of the whole formula and evaluation
+    # the pipeline evaluates closed subformulas inside its one translation
+    # walk and shares one evaluator and one memo across states; values must
+    # equal fresh per-state translation of the whole formula and evaluation
     rng = random.Random(112358)
     for case in range(120):
         m = rand_model(rng, max_states=3, max_dists=2)
@@ -47,7 +47,35 @@ def test_shared_evaluation_matches_isolated_evaluation():
         phi = rand_lmu(rng, depth=3) if case < 40 else nested_closed_fixed_points(rng)
         shared = model_check_lmu(phi, m, interp).values
         for s in m.states:
-            assert shared[s] == eval_closed(translate_all(phi, m, interp, (s,))[s])
+            reference = eval_closed(translate_all(phi, m, interp, (s,))[s])
+            assert shared[s] == reference
+            # one requested state: strata are evaluated only where reached
+            assert model_check_lmu(phi, m, interp, states=(s,)).values == {s: reference}
+
+
+def test_strata_are_evaluated_only_where_reached(monkeypatch):
+    # s0 reaches only itself, so checking s0 evaluates the closed fixed
+    # point under `<>` at s0 alone, though its terms at s1 and s2 would
+    # need loops of their own
+    m, interp = parse_model(
+        "state s0 s1 s2\n"
+        "prop P = { s0: 1/2, s1: 1/3, s2: 1/4 }\n"
+        "trans s0 -> { s0: 1 }\n"
+        "trans s1 -> { s1: 1/2, s2: 1/2 }\n"
+        "trans s2 -> { s1: 1 }\n"
+    )
+    evaluated = []
+    value = TermEvaluator.value
+
+    def recording_value(self, term, point):
+        evaluated.append(terms.render_term(term))
+        return value(self, term, point)
+
+    monkeypatch.setattr(TermEvaluator, "value", recording_value)
+    out = model_check_lmu(parse_lmu("<>(mu Y. (P \\/ <>Y))"), m, interp, states=("s0",))
+    assert out.values == {"s0": Fraction(1, 2)}
+    assert not any("@s1" in text or "@s2" in text for text in evaluated)
+    assert evaluated and all("@s0" in text for text in evaluated)
 
 
 def test_outcome_reports_iterations_and_requested_states():
