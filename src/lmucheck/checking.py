@@ -7,6 +7,11 @@ operator) at each state where it reaches one, innermost first, and keeps
 the value in its memo, where the enclosing formula folds it like a label.
 A closed subformula means the same in every environment, so no value
 changes. The same evaluator then evaluates each root term.
+
+A PCTL check encodes the formula and checks the encoding. Its only extra
+precondition is a boolean valuation, which it tests on the labels alone;
+the model's other invariants are checked where it is built (`parse_model`,
+or `validate_model` for a hand-built one), not again here.
 """
 from __future__ import annotations
 
@@ -16,8 +21,8 @@ from fractions import Fraction
 from . import lmu, pctl, terms
 from .encoder import encode_pctl
 from .evaluator import TermEvaluator
-from .model import Interpretation, Pnts, validate_model
-from .oracle import OracleError
+from .model import Interpretation, Pnts
+from .oracle import require_boolean
 from .translator import translate_all
 
 __all__ = ["CheckOutcome", "model_check_lmu", "model_check_pctl"]
@@ -25,11 +30,10 @@ __all__ = ["CheckOutcome", "model_check_lmu", "model_check_pctl"]
 
 @dataclass(frozen=True)
 class CheckOutcome:
-    """Exact per-state values in canonical state order, with provenance."""
+    """Exact per-state values in canonical state order, and the loop iterations run."""
 
     values: dict[str, Fraction]
     iterations: int
-    formula: lmu.Lmu  # the fixed-point formula actually evaluated
 
 
 def model_check_lmu(
@@ -43,7 +47,7 @@ def model_check_lmu(
     targets = states if states is not None else m.states
     per_state = translate_all(phi, m, interp, targets, evaluator=evaluator)
     values = {s: _closed_value(evaluator, per_state[s]) for s in targets}
-    return CheckOutcome(values, evaluator.loop_iterations, phi)
+    return CheckOutcome(values, evaluator.loop_iterations)
 
 
 def _closed_value(evaluator: TermEvaluator, term: terms.Term) -> Fraction:
@@ -60,10 +64,7 @@ def model_check_pctl(
     interp: Interpretation,
     states: tuple[str, ...] | None = None,
 ) -> CheckOutcome:
-    """Encode a PCTL formula and evaluate it; requires a boolean valuation."""
-    problems = validate_model(m, interp, boolean_mode=True)
-    if problems:
-        raise OracleError("; ".join(problems))
-    encoded = encode_pctl(phi)
-    outcome = model_check_lmu(encoded, m, interp, states)
-    return CheckOutcome(outcome.values, outcome.iterations, encoded)
+    """Check the fixed-point encoding of a PCTL formula; raises OracleError
+    on a non-boolean valuation."""
+    require_boolean(interp)
+    return model_check_lmu(encode_pctl(phi), m, interp, states)

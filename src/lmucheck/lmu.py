@@ -407,6 +407,7 @@ def normalize_binders(phi: Lmu) -> Lmu:
             return type(node)(name, walk(node.body, {**env, node.var: name}))
         raise TypeError(f"not a formula: {node!r}")
 
-    renamed = walk(phi, {})
-    walk = None  # break the self-reference: the call's data is freed on return
-    return renamed
+    try:
+        return walk(phi, {})
+    finally:
+        walk = None  # break the self-reference: the call's data is freed on exit

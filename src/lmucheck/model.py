@@ -32,7 +32,6 @@ __all__ = [
 
 
 _ZERO = Fraction(0)
-_BOOLEAN = (_ZERO, Fraction(1))
 
 
 class ModelError(ValueError):
@@ -85,14 +84,10 @@ class Interpretation:
         per_state = self.valuation.get(prop)
         return _ZERO if per_state is None else per_state.get(state, _ZERO)
 
-    def is_boolean(self) -> bool:
-        return all(
-            v in _BOOLEAN for per_state in self.valuation.values() for v in per_state.values()
-        )
 
-
-def validate_model(m: Pnts, interp: Interpretation, boolean_mode: bool = False) -> list[str]:
-    """Return every invariant violation; an empty list means the model is valid."""
+def validate_model(m: Pnts, interp: Interpretation) -> list[str]:
+    """Return every invariant violation; an empty list means the model is valid.
+    `parse_model` checks the same invariants as it reads; this is for hand-built models."""
     errors: list[str] = []
     declared = set(m.states)
     if len(declared) != len(m.states):
@@ -118,10 +113,6 @@ def validate_model(m: Pnts, interp: Interpretation, boolean_mode: bool = False) 
                 errors.append(f"valuation of {p} mentions undeclared state {s}")
             if not (0 <= v <= 1):
                 errors.append(f"valuation {p}({s}) = {format_rational(v)} outside [0, 1]")
-            elif boolean_mode and v not in _BOOLEAN:
-                errors.append(
-                    f"non-boolean valuation {p}({s}) = {format_rational(v)} in PCTL mode"
-                )
     return errors
 
 

@@ -25,9 +25,11 @@ from typing import Mapping
 
 from . import lmu, pctl, terms
 from .model import Distribution, Interpretation, Pnts
+from .rationals import format_rational
 
 __all__ = [
     "OracleError",
+    "require_boolean",
     "pctl_oracle",
     "next_prob",
     "until_prob_md",
@@ -201,39 +203,21 @@ def next_prob(m: Pnts, target: frozenset[str], mode: str) -> dict[str, Fraction]
 # -- PCTL ---------------------------------------------------------------------
 
 
-def pctl_oracle(
-    phi: pctl.PctlState, m: Pnts, interp: Interpretation
-) -> dict[str, bool]:
+def require_boolean(interp: Interpretation) -> None:
+    """Refuse a valuation with a label other than 0 or 1, naming the first."""
+    for p, per_state in interp.valuation.items():
+        for s, v in per_state.items():
+            if v.denominator != 1 or v.numerator not in (0, 1):
+                raise OracleError(
+                    f"non-boolean valuation {p}({s}) = {format_rational(v)}: "
+                    "PCTL needs a boolean valuation"
+                )
+
+
+def pctl_oracle(phi: pctl.PctlState, m: Pnts, interp: Interpretation) -> dict[str, bool]:
     """Per-state truth values, computed directly from the path semantics."""
-    if not interp.is_boolean():
-        raise OracleError("PCTL needs a boolean valuation")
-
-    def sat(node: pctl.PctlState) -> frozenset[str]:
-        if isinstance(node, pctl.TrueFormula):
-            return frozenset(m.states)
-        if isinstance(node, pctl.Prop):
-            return frozenset(s for s in m.states if interp.value(node.name, s) == 1)
-        if isinstance(node, pctl.Not):
-            return frozenset(m.states) - sat(node.body)
-        if isinstance(node, pctl.Or):
-            return sat(node.left) | sat(node.right)
-        if isinstance(node, (pctl.Exists, pctl.Forall)):
-            each = any if isinstance(node, pctl.Exists) else all
-            path = node.path
-            if isinstance(path, pctl.Next):
-                # a deadlocked state has one maximal path of length 1, falsifying next
-                target = sat(path.body)
-                return frozenset(s for s in m.states if _hits(m, s, target, each, each))
-            return _attractor(m, sat(path.left), sat(path.right), each, each)
-        if isinstance(node, (pctl.ProbExists, pctl.ProbForall)):
-            probs = prob_operator_values(node, m, interp)
-            if node.strict:
-                return frozenset(s for s in m.states if probs[s] > node.bound)
-            return frozenset(s for s in m.states if probs[s] >= node.bound)
-        raise TypeError(f"not a PCTL state formula: {node!r}")
-
-    verdict = sat(phi)
-    sat = None  # break the self-reference: the call's data is freed on return
+    require_boolean(interp)
+    verdict = _sat(phi, m, interp)
     return {s: s in verdict for s in m.states}
 
 
@@ -241,17 +225,46 @@ def prob_operator_values(
     node: pctl.ProbExists | pctl.ProbForall, m: Pnts, interp: Interpretation
 ) -> dict[str, Fraction]:
     """Extremal probability of the operator's path formula, per state: max
-    for `Pmax`, min for `Pmin`, with the operand sat-sets from the oracle."""
+    for `Pmax`, min for `Pmin`; the valuation must be boolean."""
+    require_boolean(interp)
+    return _prob_values(node, m, interp)
 
-    def sat(operand: pctl.PctlState) -> frozenset[str]:
-        verdict = pctl_oracle(operand, m, interp)
-        return frozenset(s for s in m.states if verdict[s])
 
+def _sat(node: pctl.PctlState, m: Pnts, interp: Interpretation) -> frozenset[str]:
+    """The states that satisfy a PCTL state formula, on a boolean valuation."""
+    if isinstance(node, pctl.TrueFormula):
+        return frozenset(m.states)
+    if isinstance(node, pctl.Prop):
+        return frozenset(s for s in m.states if interp.value(node.name, s) == 1)
+    if isinstance(node, pctl.Not):
+        return frozenset(m.states) - _sat(node.body, m, interp)
+    if isinstance(node, pctl.Or):
+        return _sat(node.left, m, interp) | _sat(node.right, m, interp)
+    if isinstance(node, (pctl.Exists, pctl.Forall)):
+        each = any if isinstance(node, pctl.Exists) else all
+        path = node.path
+        if isinstance(path, pctl.Next):
+            # a deadlocked state has one maximal path of length 1, falsifying next
+            target = _sat(path.body, m, interp)
+            return frozenset(s for s in m.states if _hits(m, s, target, each, each))
+        return _attractor(m, _sat(path.left, m, interp), _sat(path.right, m, interp), each, each)
+    if isinstance(node, (pctl.ProbExists, pctl.ProbForall)):
+        probs = _prob_values(node, m, interp)
+        if node.strict:
+            return frozenset(s for s in m.states if probs[s] > node.bound)
+        return frozenset(s for s in m.states if probs[s] >= node.bound)
+    raise TypeError(f"not a PCTL state formula: {node!r}")
+
+
+def _prob_values(
+    node: pctl.ProbExists | pctl.ProbForall, m: Pnts, interp: Interpretation
+) -> dict[str, Fraction]:
+    """`prob_operator_values` without the guard, the operand sets from `_sat`."""
     mode = "max" if isinstance(node, pctl.ProbExists) else "min"
     path = node.path
     if isinstance(path, pctl.Next):
-        return next_prob(m, sat(path.body), mode)
-    return until_prob_md(m, sat(path.left), sat(path.right), mode)
+        return next_prob(m, _sat(path.body, m, interp), mode)
+    return until_prob_md(m, _sat(path.left, m, interp), _sat(path.right, m, interp), mode)
 
 
 # -- direct evaluation and Kleene iteration ------------------------------------
@@ -380,6 +393,8 @@ def _kleene(
             return current
         raise TypeError(f"not a formula: {node!r}")
 
-    value = walk(phi, free)
-    walk = None  # break the self-reference: the call's data is freed on return
+    try:
+        value = walk(phi, free)
+    finally:
+        walk = None  # break the self-reference: the call's data is freed on exit
     return KleeneOutcome(value, **flags)

@@ -12,17 +12,14 @@ the evaluator scopes term variables lexically, so this is sound.
 The context only ever holds entries of binders that enclose the node being
 walked. Those binders form a chain, and in pre-order an enclosing binder
 numbered below i encloses binder i while one numbered above i is nested in
-it. Hence:
-
-- re-entry at binder i (`gamma_step`) keeps the entries numbered up to i,
-  the enclosing binders and i's own open states, drops those nested in i,
-  and adds (i, s);
-- a node reads no entry numbered above k, the largest binder number among
-  its free variables (0 for a closed node): it looks up only its free
-  variables, re-entry at one of them keeps only entries up to k, and the
-  binders inside it, numbered above every enclosing one, add their own.
-  So (node, entries numbered up to k, state) is an exact memo key, and the
-  walk passes only those entries down.
+it. A node reads no entry numbered above k, the largest binder number among
+its free variables (0 for a closed node): it looks up only its free
+variables, re-entry at one of them keeps only entries up to k, and the
+binders inside it, numbered above every enclosing one, add their own. So
+(node, entries numbered up to k, state) is an exact memo key, and the walk
+passes only those entries down. A variable of binder i is such a node with
+k = i: its context holds only the enclosing binders and i's own open
+states, so re-entry adds (i, s) to it, as entering binder i does.
 
 The walk folds constants as it goes. A subterm that constants decide is
 kept as its value, a `Fraction`, in the memo and in every rule below; no
@@ -77,7 +74,6 @@ __all__ = [
     "TranslationError",
     "BinderIndex",
     "index_binders",
-    "gamma_step",
     "term_var",
     "translate_all",
 ]
@@ -116,15 +112,6 @@ def index_binders(phi: lmu.Lmu) -> BinderIndex:
             kinds.append("mu" if isinstance(sub, lmu.Mu) else "nu")
             bodies.append(sub.body)
     return BinderIndex(tuple(kinds), tuple(bodies), index_of)
-
-
-def gamma_step(
-    gamma: frozenset[tuple[int, str]], i: int, state: str
-) -> frozenset[tuple[int, str]]:
-    """Re-entry update: keep the entries numbered up to i, add (i, state)."""
-    kept = {(j, s) for (j, s) in gamma if j <= i}
-    kept.add((i, state))
-    return frozenset(kept)
 
 
 def term_var(i: int, state: str) -> str:
@@ -203,7 +190,8 @@ def translate_all(
     steps = [0]
 
     def expand(i: int, gamma: frozenset[tuple[int, str]], s: str) -> Folded:
-        body = walk(binders.bodies[i - 1], gamma, s)
+        """Binder i at state s, (i, s) opened in the context."""
+        body = walk(binders.bodies[i - 1], gamma | {(i, s)}, s)
         cls = terms.TMu if binders.kinds[i - 1] == "mu" else terms.TNu
         return bind(cls, term_var(i, s), body)
 
@@ -251,7 +239,7 @@ def translate_all(
             if (i, s) in gamma:
                 result: Folded = terms.TVar(term_var(i, s))
             else:
-                result = expand(i, gamma_step(gamma, i, s), s)
+                result = expand(i, gamma, s)
         elif isinstance(node, lmu.Const):
             result = node.value
         elif isinstance(node, lmu.Prop):
@@ -275,9 +263,7 @@ def translate_all(
         elif isinstance(node, lmu.Box):
             result = modal(terms.TMeet, node, gamma, s)
         elif isinstance(node, (lmu.Mu, lmu.Nu)):
-            i = binders.index_of[node.var]
-            body = walk(node.body, gamma | {(i, s)}, s)
-            result = bind(type(node), term_var(i, s), body)
+            result = expand(binders.index_of[node.var], gamma, s)
             if evaluator is not None and not node.free and node is not phi:
                 if isinstance(result, terms.Term):  # a stratum: keep its value
                     result = evaluator.value(result, {})
@@ -287,8 +273,10 @@ def translate_all(
         return result
 
     per_state = {}
-    for state in targets:
-        result = walk(phi, _CLOSED, state)
-        per_state[state] = result if isinstance(result, terms.Term) else terms.tconst(result)
-    walk = None  # break the cycles, all through `walk`: the memo is freed on return
+    try:
+        for state in targets:
+            result = walk(phi, _CLOSED, state)
+            per_state[state] = result if isinstance(result, terms.Term) else terms.tconst(result)
+    finally:
+        walk = None  # break the cycles, all through `walk`: the memo is freed on exit
     return per_state

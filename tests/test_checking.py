@@ -14,7 +14,7 @@ from lmucheck.evaluator import TermEvaluator, eval_closed
 from lmucheck.model import parse_model
 from lmucheck.oracle import OracleError, kleene_lmu, kleene_term, pctl_oracle
 from lmucheck.parser import parse_lmu, parse_pctl
-from lmucheck.translator import translate_all
+from lmucheck.translator import TranslationError, translate_all
 
 CONNECTIVES = [lmu.Join, lmu.Meet, lmu.OPlus, lmu.OTimes]
 MODALITIES = [lmu.Diamond, lmu.Box]
@@ -95,9 +95,23 @@ def test_outcome_reports_iterations_and_requested_states():
     assert out.iterations > 0
 
 
+def refused(call, error):
+    """`call`, made to return once it has raised `error`."""
+
+    def run():
+        try:
+            call()
+        except error:
+            return
+        raise AssertionError(f"{error.__name__} not raised")
+
+    return run
+
+
 def test_checks_leave_no_cyclic_garbage():
     # what a check builds (model, interpretation, memo tables) is freed by
-    # reference counting when the call returns, not by the cyclic collector
+    # reference counting when the call returns or raises, not by the cyclic
+    # collector
     m, interp = parse_model(
         "state s0 s1 s2\n"
         "prop P1 = { s0: 1, s1: 1 }\n"
@@ -111,6 +125,12 @@ def test_checks_leave_no_cyclic_garbage():
         "model_check_pctl": lambda: model_check_pctl(phi, m, interp),
         "pctl_oracle": lambda: pctl_oracle(phi, m, interp),
         "kleene_lmu": lambda: kleene_lmu(encode_pctl(phi), m, interp),
+        "translate_all over budget": refused(
+            lambda: translate_all(encode_pctl(phi), m, interp, max_steps=2), TranslationError
+        ),
+        "kleene_lmu on a free variable": refused(
+            lambda: kleene_lmu(lmu.Var("X"), m, interp), OracleError
+        ),
     }
     enabled = gc.isenabled()
     gc.disable()
@@ -128,7 +148,7 @@ def test_checks_leave_no_cyclic_garbage():
 
 def test_pctl_checking_requires_boolean_valuations():
     m, interp = parse_model("state s0\nprop P = { s0: 1/2 }")
-    with pytest.raises(OracleError, match="non-boolean"):
+    with pytest.raises(OracleError, match=r"non-boolean valuation P\(s0\) = 1/2"):
         model_check_pctl(parse_pctl("P"), m, interp)
 
 

@@ -1,10 +1,11 @@
 import json
 import random
+import sys
 
 import pytest
 
 from generators import rand_bool_interp, rand_model_exact
-from lmucheck import checking, cli, model
+from lmucheck import cli, model, oracle
 from lmucheck.cli import main
 from lmucheck.evaluator import EvalError, InternalInvariantError
 from lmucheck.model import ModelError, render_model
@@ -294,30 +295,30 @@ def test_undeclared_propositions_are_refused(capsys, model_file, argv):
     assert "undeclared propositions: P3, Q" in err
 
 
-def test_pctl_check_runs_both_boolean_guards(capsys, monkeypatch, model_file):
-    # parsing checks the model's invariants itself; a PCTL check then runs
-    # the boolean pass of `validate_model` once and the oracle's own
-    # `is_boolean` once
-    validations, boolean_checks = [], []
-    validate, is_boolean = model.validate_model, model.Interpretation.is_boolean
+NESTED_PCTL = "Pmin>1/8 [X Pmax>=1/2 [X P] | Pmax>0 [P U Pmin>=1/2 [X P]]]"
 
-    def counted_validate(m, interp, boolean_mode=False):
-        validations.append(boolean_mode)
-        return validate(m, interp, boolean_mode)
 
-    def counted_is_boolean(interp):
-        boolean_checks.append(interp)
-        return is_boolean(interp)
+def test_pctl_check_guards_each_route_once(capsys, monkeypatch, model_file):
+    # parsing checks the model's invariants itself; a cross-checked PCTL
+    # check then tests the labels once for the pipeline and once for the
+    # oracle, however many probability operators the formula nests
+    calls = {"validate_model": 0, "require_boolean": 0}
+    modules = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "lmucheck"]
+    for owner, name in ((model, "validate_model"), (oracle, "require_boolean")):
+        inner = getattr(owner, name)
 
-    monkeypatch.setattr(model, "validate_model", counted_validate)
-    monkeypatch.setattr(checking, "validate_model", counted_validate)
-    monkeypatch.setattr(model.Interpretation, "is_boolean", counted_is_boolean)
+        def counted(*args, name=name, inner=inner):
+            calls[name] += 1
+            return inner(*args)
+
+        for mod in modules:  # every module that imported the name, too
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted)
     code, _, _ = run(
-        capsys, "check", "--model", model_file, "--pctl", "E [P U P]", "--cross-check"
+        capsys, "check", "--model", model_file, "--pctl", NESTED_PCTL, "--cross-check"
     )
     assert code == 0
-    assert validations == [True]
-    assert len(boolean_checks) == 1
+    assert calls == {"validate_model": 0, "require_boolean": 2}
 
 
 # -- exit codes ------------------------------------------------------------------

@@ -71,13 +71,6 @@ def test_validate_flags_explicit_zero_weight():
     assert any("zero weight" in e for e in errors)
 
 
-def test_validate_boolean_mode():
-    m, interp = parse_model("state s0\nprop P = { s0: 1/2 }")
-    assert validate_model(m, interp) == []
-    errors = validate_model(m, interp, boolean_mode=True)
-    assert any("non-boolean" in e for e in errors)
-
-
 def test_render_parse_round_trip_fixed():
     m, interp = parse_model(TWO_STATE)
     m2, interp2 = parse_model(render_model(m, interp))

@@ -12,7 +12,6 @@ from lmucheck.oracle import direct_value, kleene_lmu
 from lmucheck.parser import parse_lmu
 from lmucheck.translator import (
     TranslationError,
-    gamma_step,
     index_binders,
     term_var,
     translate_all,
@@ -36,15 +35,6 @@ def test_index_binders_requires_distinct():
 def test_constants_take_no_binder_number():
     phi = lmu.normalize_binders(parse_lmu("mu X. (1/2*1 \\/ <>X) /\\ 0"))
     assert index_binders(phi).kinds == ("mu",)
-
-
-def test_gamma_step():
-    # re-entry at binder i drops the entries numbered after i (binders
-    # nested inside it) and keeps the rest, other states of i included
-    assert gamma_step(frozenset(), 1, "s0") == {(1, "s0")}
-    assert gamma_step(frozenset({(2, "s0")}), 1, "s1") == {(1, "s1")}
-    gamma = frozenset({(1, "s0"), (2, "s0"), (2, "s1"), (3, "s0"), (4, "s1")})
-    assert gamma_step(gamma, 2, "s2") == {(1, "s0"), (2, "s0"), (2, "s1"), (2, "s2")}
 
 
 def test_translate_diamond_expectation():
