@@ -9,7 +9,6 @@ from .evaluator import (
     EvalResult,
     InternalInvariantError,
     TermEvaluator,
-    eval_closed,
     eval_term,
 )
 from .model import (

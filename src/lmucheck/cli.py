@@ -51,12 +51,8 @@ def _require_declared(formula: pctl.PctlState | lmu.Lmu, interp: Interpretation)
     """Refuse a formula that reads a proposition the model file does not
     declare: the library reads such a proposition as 0 at every state, so a
     misspelt name would give a wrong answer instead of an error."""
-    if isinstance(formula, pctl.PctlState):
-        names = pctl.propositions(formula)
-    else:
-        props = (lmu.Prop, lmu.CoProp)
-        names = {n.name for n in lmu.subformulas(formula) if isinstance(n, props)}
-    missing = sorted(names - interp.valuation.keys())
+    walker = pctl.propositions if isinstance(formula, pctl.PctlState) else lmu.propositions
+    missing = sorted(walker(formula) - interp.valuation.keys())
     if missing:
         raise ModelError(f"undeclared propositions: {', '.join(missing)}")
 

@@ -7,9 +7,10 @@ expression over x1..xn, such that
   (P1) every inequality in C holds at r, and
   (P2) every real point s satisfying C lies in [0,1]^n and has e(s) = t(s).
 
-The value t(r) is then e(r). Inequalities are stored as `expr > 0` or
-`expr >= 0` with integer coefficients scaled to gcd 1, so condition sets
-deduplicate and order canonically.
+The value t(r) is then e(r). An inequality `expr > 0` or `expr >= 0` is a
+plain tuple (coefficients, constant, strict) with integer numerators scaled
+to gcd 1, so equal inequalities are equal tuples: a condition set is
+deduplicated as a set and sorted in tuple order, its canonical order.
 
 All arithmetic inside the evaluator is on integers. A linear expression is
 a `Row`: integer numerators over one positive common denominator, with the
@@ -40,7 +41,6 @@ guards against implementation bugs.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -61,7 +61,6 @@ __all__ = [
     "make_conditions",
     "TermEvaluator",
     "eval_term",
-    "eval_closed",
     "render_inequality",
     "render_lin_expr",
 ]
@@ -108,6 +107,20 @@ def _combine(a: int, xs: Coeffs, b: int, ys: Coeffs) -> Coeffs:
     return tuple(sorted(item for item in acc.items() if item[1]))
 
 
+def _split(coeffs: Coeffs, slot: int) -> tuple[int, Coeffs]:
+    """The slot's coefficient (0 if absent) and the other coefficients."""
+    for i, (s, c) in enumerate(coeffs):
+        if s == slot:
+            return c, coeffs[:i] + coeffs[i + 1 :]
+    return 0, coeffs
+
+
+def _substituted(c: int, rest: Coeffs, const: int, repl: "Row") -> tuple[Coeffs, int]:
+    """`c*x + rest + const` with x := p/d, times d: `d*(rest + const) + c*p`."""
+    d = repl.den
+    return _combine(d, rest, c, repl.coeffs), d * const + c * repl.const
+
+
 class Row(NamedTuple):
     """Linear expression `(sum c*x_slot + const) / den` on integers: den > 0
     and gcd(all numerators, den) = 1, so equal expressions are equal rows."""
@@ -126,13 +139,6 @@ class Row(NamedTuple):
             coeffs, const, den = tuple((s, c // g) for s, c in coeffs), const // g, den // g
         return Row(coeffs, const, den)
 
-    def coefficient(self, slot: int) -> int:
-        """Numerator of the slot's coefficient."""
-        for s, c in self.coeffs:
-            if s == slot:
-                return c
-        return 0
-
     def plus(self, other: "Row", sign: int = 1) -> "Row":
         """self + other, or self - other with sign -1."""
         d1, d2 = self.den, other.den
@@ -146,13 +152,10 @@ class Row(NamedTuple):
         return Row.make(tuple((s, a * c) for s, c in self.coeffs), a * self.const, self.den * q.denominator)
 
     def substitute(self, slot: int, repl: "Row") -> "Row":
-        c = self.coefficient(slot)
+        c, rest = _split(self.coeffs, slot)
         if c == 0:
             return self
-        rest = tuple(item for item in self.coeffs if item[0] != slot)
-        d = repl.den
-        coeffs = _combine(d, rest, c, repl.coeffs)
-        return Row.make(coeffs, d * self.const + c * repl.const, self.den * d)
+        return Row.make(*_substituted(c, rest, self.const, repl), self.den * repl.den)
 
     def numerator_at(self, nums: Sequence[int], den: int) -> int:
         """The value at the point nums/den, times self.den * den."""
@@ -167,29 +170,16 @@ ZERO = Row((), 0, 1)
 ONE = Row((), 1, 1)
 
 
-class Inequality:
+class Inequality(NamedTuple):
     """Canonical `expr > 0` (strict) or `expr >= 0` over integer coefficients.
 
-    Immutable by convention; the hash is computed once, at construction.
+    Tuple order (coefficients, then constant, then strictness) is the
+    canonical order of condition sets.
     """
 
-    __slots__ = ("coeffs", "const", "strict", "_key", "_hash")
-
-    def __init__(self, coeffs: Coeffs, const: int, strict: bool):
-        self.coeffs = coeffs
-        self.const = const
-        self.strict = strict
-        self._key = (coeffs, const, strict)
-        self._hash = hash(self._key)
-
-    def __eq__(self, other) -> bool:
-        return self is other or (isinstance(other, Inequality) and self._key == other._key)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"Inequality({self.coeffs!r}, {self.const!r}, {self.strict!r})"
+    coeffs: Coeffs
+    const: int
+    strict: bool
 
     @staticmethod
     def canonical(coeffs: Coeffs, const: int, strict: bool) -> "Inequality | bool":
@@ -209,14 +199,10 @@ class Inequality:
 
     def substitute(self, slot: int, repl: Row) -> "Inequality | bool":
         """`c*x + rest ? 0` with x := p/d becomes `d*rest + c*p ? 0`."""
-        for i, (s, c) in enumerate(self.coeffs):
-            if s == slot:
-                break
-        else:
+        c, rest = _split(self.coeffs, slot)
+        if c == 0:
             return self
-        d = repl.den
-        coeffs = _combine(d, self.coeffs[:i] + self.coeffs[i + 1 :], c, repl.coeffs)
-        return Inequality.canonical(coeffs, d * self.const + c * repl.const, self.strict)
+        return Inequality.canonical(*_substituted(c, rest, self.const, repl), self.strict)
 
     def negation(self) -> "Inequality":
         coeffs = tuple((s, -c) for s, c in self.coeffs)
@@ -229,12 +215,9 @@ def _at_least(a: Row, b: Row) -> "Inequality | bool":
     return Inequality.canonical(coeffs, b.den * a.const - a.den * b.const, False)
 
 
-_canonical_order = operator.attrgetter("_key")  # coefficients, then constant, then strictness
-
-
 def make_conditions(items: Iterable[Inequality]) -> tuple[Inequality, ...]:
     """Deduplicated, canonically ordered condition set."""
-    return tuple(sorted(set(items), key=_canonical_order))
+    return tuple(sorted(set(items)))
 
 
 def _scaled_point(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -281,15 +264,11 @@ def normalize_on(conditions: Iterable[Inequality], slot: int) -> tuple[list[Row]
     lower_strict: list[Row] = []
     lower_nonstrict: list[Row] = []
     for ineq in conditions:
-        c = 0
-        for s, v in ineq.coeffs:
-            if s == slot:
-                c = v
+        c, rest = _split(ineq.coeffs, slot)
         if c == 0:
             continue
         # c*x + rest ? 0 solves to x ? -rest/c; the numerators of a canonical
         # inequality have gcd 1, so the bound needs no further reduction
-        rest = tuple(item for item in ineq.coeffs if item[0] != slot)
         if c > 0:
             bound = Row(tuple((s, -v) for s, v in rest), -ineq.const, c)
             (lower_strict if ineq.strict else lower_nonstrict).append(bound)
@@ -380,15 +359,6 @@ class TermEvaluator:
     # internal recursion; (P1) is asserted for every newly built inequality:
     # cheaply at constructor nodes (the children were verified when built, at
     # the same point) and in full wherever a loop result enters the tree
-
-    def _verify(self, conds: tuple[Inequality, ...], expr: Row) -> tuple[tuple[Inequality, ...], Row]:
-        bad = _first_violated_sorted(conds, self._nums, self._den)
-        if bad is not None:
-            raise InternalInvariantError(
-                f"constructed condition violated at the evaluation point: "
-                f"{render_inequality(bad, self._names)}"
-            )
-        return conds, expr
 
     def _witnessed(
         self, c1, c2, witness: "Inequality | bool", expr: Row
@@ -497,8 +467,8 @@ class TermEvaluator:
                 self._set_value(slot, approx)
                 conds, expr = self._eval(term.body, inner_env)
                 # expr = (c*x + rest)/d, so q = c/d and rest/(1-q) = rest/(d-c)
-                c, d = expr.coefficient(slot), expr.den
-                rest = tuple(item for item in expr.coeffs if item[0] != slot)
+                c, rest = _split(expr.coeffs, slot)
+                d = expr.den
                 blocker: Inequality | None = None
                 if c != d:
                     f = Row.make(rest, expr.const, d - c)
@@ -569,9 +539,16 @@ class TermEvaluator:
     def _finish(
         self, slot: int, merged: list[Inequality], expr: Row
     ) -> tuple[tuple[Inequality, ...], Row]:
-        if any(s == slot for ineq in merged for s, _ in ineq.coeffs) or expr.coefficient(slot):
+        if any(s == slot for ineq in merged for s, _ in ineq.coeffs) or _split(expr.coeffs, slot)[0]:
             raise InternalInvariantError("loop result still mentions its bound variable")
-        return self._verify(make_conditions(merged), expr)
+        conds = make_conditions(merged)
+        bad = _first_violated_sorted(conds, self._nums, self._den)
+        if bad is not None:
+            raise InternalInvariantError(
+                f"constructed condition violated at the evaluation point: "
+                f"{render_inequality(bad, self._names)}"
+            )
+        return conds, expr
 
 
 def eval_term(
@@ -581,13 +558,6 @@ def eval_term(
 ) -> EvalResult:
     """Evaluate a term at a point covering its free variables."""
     return TermEvaluator(max_loop_iterations).evaluate(term, point)
-
-
-def eval_closed(term: terms.Term, max_loop_iterations: int = DEFAULT_LOOP_CAP) -> Fraction:
-    """Exact value of a closed term."""
-    if term.free:
-        raise EvalError(f"term is not closed; free: {list(term.free)}")
-    return eval_term(term, {}, max_loop_iterations).value
 
 
 def render_lin_expr(e: LinExpr, names: Sequence[str]) -> str:

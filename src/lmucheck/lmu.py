@@ -42,6 +42,7 @@ __all__ = [
     "dual",
     "expand_threshold",
     "normalize_binders",
+    "propositions",
     "subformulas",
 ]
 
@@ -228,6 +229,11 @@ def subformulas(phi: Lmu) -> Iterator[Lmu]:
             stack.append(node.body)
 
 
+def propositions(phi: Lmu) -> set[str]:
+    """Names of the propositions occurring in phi, complemented or not."""
+    return {s.name for s in subformulas(phi) if isinstance(s, (Prop, CoProp))}
+
+
 def used_names(phi: Lmu) -> set[str]:
     """Every identifier occurring in phi (variables, binders, propositions)."""
     names: set[str] = set()
@@ -380,7 +386,7 @@ def normalize_binders(phi: Lmu) -> Lmu:
     Numbering follows depth-first pre-order. Names are chosen to avoid the
     formula's proposition names, so rendering stays capture-free.
     """
-    avoid = {s.name for s in subformulas(phi) if isinstance(s, (Prop, CoProp))}
+    avoid = propositions(phi)
     avoid.update(phi.free)
     counter = [0]
 

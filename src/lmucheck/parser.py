@@ -1,5 +1,6 @@
-"""Hand-rolled tokenizers and recursive-descent parsers: one for fixed-point
-formulas and terms, one for PCTL.
+"""Tokenizers and recursive-descent parsers: one for fixed-point formulas and
+terms, one for PCTL. Each grammar's tokenizer is one compiled pattern that
+tries its symbols in list order, then rationals, then identifiers.
 
 Terms are the modality-free, proposition-free fragment of the formulas, so
 one parser reads both; the term parser overrides only what differs.
@@ -24,6 +25,7 @@ usable as propositions. `p & q` and `false` desugar at parse time.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,38 +49,31 @@ class Token:
     column: int
 
 
-_NUM_RE = re.compile(r"\d+(/\d+|\.\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_]\w*(@[A-Za-z_]\w*)?")
+_NUM = r"\d+(/\d+|\.\d+)?"
+_IDENT = r"[A-Za-z_]\w*(@[A-Za-z_]\w*)?"
 
-_FORMULA_SYMBOLS = ["(+)", "(.)", "<>", "[]", "\\/", "/\\", "(", ")", ".", "*", "~"]
-_PCTL_SYMBOLS = [">=", ">", "!", "|", "&", "(", ")", "[", "]"]
+_FORMULA_SYMBOLS = ("(+)", "(.)", "<>", "[]", "\\/", "/\\", "(", ")", ".", "*", "~")
+_PCTL_SYMBOLS = (">=", ">", "!", "|", "&", "(", ")", "[", "]")
 
 
-def _tokenize(text: str, symbols: list[str]) -> list[Token]:
+@functools.cache
+def _token_pattern(symbols: tuple[str, ...]) -> re.Pattern:
+    """One token and the whitespace after it: the first listed symbol that
+    matches, else a rational, else an identifier."""
+    syms = "|".join(map(re.escape, symbols))
+    return re.compile(rf"(?:(?P<sym>{syms})|(?P<num>{_NUM})|(?P<ident>{_IDENT}))\s*")
+
+
+def _tokenize(text: str, symbols: tuple[str, ...]) -> list[Token]:
+    pattern = _token_pattern(symbols)
     tokens: list[Token] = []
-    i, n = 0, len(text)
+    i, n = len(text) - len(text.lstrip()), len(text)
     while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        for sym in symbols:
-            if text.startswith(sym, i):
-                tokens.append(Token("sym", sym, i + 1))
-                i += len(sym)
-                break
-        else:
-            m = _NUM_RE.match(text, i)
-            if m:
-                tokens.append(Token("num", m.group(0), i + 1))
-                i = m.end()
-                continue
-            m = _IDENT_RE.match(text, i)
-            if m:
-                tokens.append(Token("ident", m.group(0), i + 1))
-                i = m.end()
-                continue
-            raise ParseError(f"unexpected character {ch!r}", i + 1)
+        m = pattern.match(text, i)
+        if m is None:
+            raise ParseError(f"unexpected character {text[i]!r}", i + 1)
+        tokens.append(Token(m.lastgroup, m.group(m.lastgroup), i + 1))
+        i = m.end()
     tokens.append(Token("eof", "", n + 1))
     return tokens
 

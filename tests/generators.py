@@ -10,6 +10,7 @@ from lmucheck.evaluator import EvalResult, cond_holds
 from lmucheck.model import Distribution, Interpretation, Pnts
 
 PROPS = ("P1", "P2")
+MAX_DRAWS = 1000  # per state in `rand_model_exact`
 
 
 def rand_rational(rng: random.Random, max_den: int = 8) -> Fraction:
@@ -58,16 +59,24 @@ def rand_model_exact(
     max_den: int = 8,
 ) -> Pnts:
     """Exactly `n_states` states, each with exactly `n_dists` distinct
-    distributions of support at most `max_support`."""
+    distributions of support at most `max_support`; ValueError when
+    `MAX_DRAWS` draws for one state do not find that many."""
     states = tuple(f"s{i}" for i in range(n_states))
     order = {s: i for i, s in enumerate(states)}
     transitions: dict[str, tuple[Distribution, ...]] = {}
     for s in states:
         dists: list[Distribution] = []
-        while len(dists) < n_dists:
+        for _ in range(MAX_DRAWS):
+            if len(dists) == n_dists:
+                break
             d = rand_distribution(rng, states, order, min(n_states, max_support), max_den)
             if d not in dists:
                 dists.append(d)
+        if len(dists) < n_dists:
+            raise ValueError(
+                f"found {len(dists)} of n_dists={n_dists} distinct distributions "
+                f"for n_states={n_states} in {MAX_DRAWS} draws"
+            )
         transitions[s] = tuple(dists)
     return Pnts(states, transitions)
 

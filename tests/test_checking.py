@@ -10,7 +10,7 @@ from generators import rand_interp, rand_lmu, rand_model
 from lmucheck import lmu, terms
 from lmucheck.checking import _closed_value, model_check_lmu, model_check_pctl
 from lmucheck.encoder import encode_pctl
-from lmucheck.evaluator import TermEvaluator, eval_closed
+from lmucheck.evaluator import TermEvaluator, eval_term
 from lmucheck.model import parse_model
 from lmucheck.oracle import OracleError, kleene_lmu, kleene_term, pctl_oracle
 from lmucheck.parser import parse_lmu, parse_pctl
@@ -47,7 +47,7 @@ def test_shared_evaluation_matches_isolated_evaluation():
         phi = rand_lmu(rng, depth=3) if case < 40 else nested_closed_fixed_points(rng)
         shared = model_check_lmu(phi, m, interp).values
         for s in m.states:
-            reference = eval_closed(translate_all(phi, m, interp, (s,))[s])
+            reference = eval_term(translate_all(phi, m, interp, (s,))[s], {}).value
             assert shared[s] == reference
             # one requested state: strata are evaluated only where reached
             assert model_check_lmu(phi, m, interp, states=(s,)).values == {s: reference}

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from generators import rand_interp, rand_model
+from generators import rand_interp, rand_model, rand_model_exact
 from lmucheck.model import (
     Distribution,
     Interpretation,
@@ -87,6 +87,14 @@ def test_render_parse_round_trip_random():
         assert m2 == m
         assert interp2 == interp
         assert validate_model(m2, interp2) == []  # parsing alone validates
+
+
+def test_rand_model_exact_refuses_impossible_sizes():
+    # one state allows only the distribution {s0: 1}, so two distinct ones never exist
+    with pytest.raises(ValueError, match=r"n_dists=2 .* n_states=1"):
+        rand_model_exact(random.Random(0), 1)
+    m = rand_model_exact(random.Random(0), 1, n_dists=1)
+    assert [len(m.transitions[s]) for s in m.states] == [1]
 
 
 # parsing checks every invariant `validate_model` checks, line by line, so a

@@ -11,7 +11,15 @@ from generators import rand_bool_interp, rand_lmu, rand_model, rand_pctl, rand_t
 from lmucheck import lmu, pctl, terms
 from lmucheck.checking import model_check_lmu
 from lmucheck.model import parse_model
-from lmucheck.parser import ParseError, parse_lmu, parse_pctl, parse_term
+from lmucheck.parser import (
+    _FORMULA_SYMBOLS,
+    _PCTL_SYMBOLS,
+    ParseError,
+    _tokenize,
+    parse_lmu,
+    parse_pctl,
+    parse_term,
+)
 
 
 def deep_chain() -> lmu.Lmu:
@@ -176,6 +184,43 @@ def test_binder_scope_maximal_right_when_unparenthesized():
 def test_binder_scope_delimited_by_parenthesized_body():
     phi = parse_lmu("nu Y. (Y) \\/ P")
     assert phi == lmu.Join(lmu.Nu("Y", lmu.Var("Y")), lmu.Prop("P"))
+
+
+@pytest.mark.parametrize(
+    "symbols, text, expected",
+    [
+        # a longer symbol wins over its prefix, and only the whole of it
+        (_FORMULA_SYMBOLS, "x(+)y", [("ident", "x", 1), ("sym", "(+)", 2), ("ident", "y", 5)]),
+        (_FORMULA_SYMBOLS, "(x)", [("sym", "(", 1), ("ident", "x", 2), ("sym", ")", 3)]),
+        (_FORMULA_SYMBOLS, "(.) (+", "column 6: unexpected character '+'"),
+        (_PCTL_SYMBOLS, "P>=1/2", [("ident", "P", 1), ("sym", ">=", 2), ("num", "1/2", 4)]),
+        (_PCTL_SYMBOLS, "> =", "column 3: unexpected character '='"),
+        # a rational stops where its fraction part cannot continue
+        (_FORMULA_SYMBOLS, "1/\\x", [("num", "1", 1), ("sym", "/\\", 2), ("ident", "x", 4)]),
+        (_FORMULA_SYMBOLS, "1.5.2", [("num", "1.5", 1), ("sym", ".", 4), ("num", "2", 5)]),
+        (_FORMULA_SYMBOLS, "x@s1.5", [("ident", "x@s1", 1), ("sym", ".", 5), ("num", "5", 6)]),
+        (_PCTL_SYMBOLS, "x@s1.5", "column 5: unexpected character '.'"),
+        (_FORMULA_SYMBOLS, "x@ s", "column 2: unexpected character '@'"),
+        # Unicode whitespace separates tokens and counts toward columns
+        (
+            _FORMULA_SYMBOLS,
+            "\u00a0x\u2003(+)\u3000y\n",
+            [("ident", "x", 2), ("sym", "(+)", 4), ("ident", "y", 8)],
+        ),
+        (_PCTL_SYMBOLS, " \t ", []),
+        (_FORMULA_SYMBOLS, "  x \u00a0 $ y", "column 7: unexpected character '$'"),
+        (_PCTL_SYMBOLS, "E X\u2028€", "column 5: unexpected character '€'"),
+    ],
+)
+def test_tokenize_table(symbols, text, expected):
+    """Token lists, or the error text for input that cannot be tokenized."""
+    if isinstance(expected, str):
+        with pytest.raises(ParseError) as info:
+            _tokenize(text, symbols)
+        assert str(info.value) == expected
+        return
+    got = [(t.kind, t.text, t.column) for t in _tokenize(text, symbols)]
+    assert got == [*expected, ("eof", "", len(text) + 1)]
 
 
 def test_parse_errors():

@@ -6,7 +6,7 @@ import pytest
 from generators import rand_interp, rand_lmu, rand_model, rand_model_exact, term_dag
 from lmucheck import lmu, terms
 from lmucheck.checking import model_check_lmu
-from lmucheck.evaluator import eval_closed
+from lmucheck.evaluator import eval_term
 from lmucheck.model import parse_model
 from lmucheck.oracle import direct_value, kleene_lmu
 from lmucheck.parser import parse_lmu
@@ -42,7 +42,7 @@ def test_translate_diamond_expectation():
     t = translate_all(parse_lmu("<>P"), m, interp, ("s0",))["s0"]
     # 1/2*0 (+) 1/2*1 folds to the constant 1/2
     assert t == terms.tconst(F(1, 2))
-    assert eval_closed(t) == F(1, 2)
+    assert eval_term(t, {}).value == F(1, 2)
 
 
 def test_translate_deadlock_modalities():
@@ -54,7 +54,7 @@ def test_translate_deadlock_modalities():
 def test_translate_reachability_value():
     m, interp = parse_model(COIN)
     t = translate_all(parse_lmu("mu X. (P \\/ <>X)"), m, interp, ("s0",))["s0"]
-    assert eval_closed(t) == 1  # 1/2 + 1/4 + ... exactly
+    assert eval_term(t, {}).value == 1  # 1/2 + 1/4 + ... exactly
 
 
 def test_translate_requires_closed_formula():
@@ -92,7 +92,7 @@ def test_fixed_point_free_matches_direct_recursion():
         phi = rand_lmu(rng, depth=rng.randint(0, 3), fixed_point_free=True)
         direct = direct_value(phi, m, interp)
         for s in m.states:
-            assert eval_closed(translate_all(phi, m, interp, (s,))[s]) == direct[s]
+            assert eval_term(translate_all(phi, m, interp, (s,))[s], {}).value == direct[s]
 
 
 def test_translation_value_within_kleene_bounds():
@@ -103,7 +103,7 @@ def test_translation_value_within_kleene_bounds():
         phi = rand_lmu(rng, depth=3)
         outcome = kleene_lmu(phi, m, interp, budget=300)
         for s in m.states:
-            value = eval_closed(translate_all(phi, m, interp, (s,))[s])
+            value = eval_term(translate_all(phi, m, interp, (s,))[s], {}).value
             if outcome.stabilized:
                 assert outcome.value[s] == value
             else:
@@ -219,9 +219,9 @@ def test_fold_rules(text, state, expected):
     if any(isinstance(n, (lmu.Mu, lmu.Nu)) for n in lmu.subformulas(phi)):
         outcome = kleene_lmu(phi, m, interp, budget=300)
         assert outcome.stabilized
-        assert eval_closed(t) == outcome.value[state]
+        assert eval_term(t, {}).value == outcome.value[state]
     else:
-        assert eval_closed(t) == direct_value(phi, m, interp)[state]
+        assert eval_term(t, {}).value == direct_value(phi, m, interp)[state]
 
 
 def test_short_circuit_skips_the_decided_operand():
@@ -275,7 +275,7 @@ def test_folded_values_within_kleene_bounds_on_random_corpus():
         values = model_check_lmu(phi, m, interp).values
         outcome = kleene_lmu(phi, m, interp, budget=300)
         for s in m.states:
-            assert eval_closed(per_state[s]) == values[s]
+            assert eval_term(per_state[s], {}).value == values[s]
             if outcome.stabilized:
                 assert outcome.value[s] == values[s]
             if outcome.lower_sound:
