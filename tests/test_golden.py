@@ -1,10 +1,14 @@
-"""Pinned CLI output of the evaluator: exact stdout for seeded open terms
-(`eval --show-conditions`) and for alternating fixed points on fractional
-2-state models (`check --lmu --json`, with `iterations`).
+"""Pinned CLI output: exact stdout for seeded open terms (`eval
+--show-conditions`), for alternating fixed points on fractional 2-state
+models (`check --lmu --json`, with `iterations`), for the fixed-point
+encoding of PCTL formulas (`encode --pctl`) and for per-state terms
+(`translate --lmu` and `translate --pctl`).
 
 The outputs pin the canonical condition order, the conditions' exact
 coefficients and the loop's iteration counts, which no change to the
-evaluator's arithmetic may move. No case here depends on which of two tied
+evaluator's arithmetic may move. The `encode` and `translate` cases pin the
+rendered text of formulas and terms: every connective, modality, scalar and
+binder, with the parentheses the precedence rules call for. No case here depends on which of two tied
 bounds the loop picks;
 `test_evaluator.py::test_tied_bounds_keep_the_first_candidate` pins that.
 `GOLDEN` was recorded with
@@ -23,8 +27,16 @@ import random
 import sys
 from pathlib import Path
 
-from generators import rand_binder_term, rand_interp, rand_model_exact, rand_point
-from lmucheck import lmu, terms
+from generators import (
+    rand_binder_term,
+    rand_bool_interp,
+    rand_interp,
+    rand_lmu,
+    rand_model_exact,
+    rand_pctl,
+    rand_point,
+)
+from lmucheck import lmu, pctl, terms
 from lmucheck.cli import main
 from lmucheck.model import render_model
 from lmucheck.rationals import format_rational
@@ -33,10 +45,31 @@ GOLDEN = Path(__file__).with_name("golden_cli_outputs.json")
 MODEL = "{model}"  # stands for the model file's path in a recorded argv
 EVAL_CASES = 30
 CHECK_CASES = 10
+ENCODE_CASES = 24
+TRANSLATE_CASES = 16
+# every PCTL operator, `&` and `false` included, before the seeded ones
+PCTL_OPERATORS = (
+    "true & !false",
+    "!(P1 | P2) & P1",
+    "E X !P1 | A X P2",
+    "E[P1 U P2 & !P1] & A[true U P1]",
+    "Pmax>1/3 [X P1 | P2]",
+    "Pmax>=1/2 [P1 U E X P2]",
+    "Pmin>0 [X !(P1 & P2)]",
+    "Pmin>=1 [P1 & P2 U A[P1 U P2]]",
+)
+# every connective, modality, scalar and binder, nested both ways round
+LMU_CONNECTIVES = (
+    "mu X. (P1 \\/ <>X) /\\ nu Y. ([]Y (.) ~P2)",
+    "nu Y. (1/2*(P1 (+) []Y) (.) (~P1 \\/ P2 /\\ <>Y))",
+    "mu X. ((P1 (.) P2) (+) 1/3*([]<>X)) \\/ (0 /\\ 1)",
+    "nu Y. mu X. ((P1 /\\ <>Y) \\/ 2/3*(<>X)) (.) (1 (+) ~P2)",
+)
 
 
 def build_cases() -> list[dict]:
-    """The seeded inputs: `argv`, plus the model file text for `check`."""
+    """The seeded inputs: `argv`, plus the model file text for `check` and
+    `translate`."""
     rng = random.Random("golden-cli")
     cases = []
     for i in range(EVAL_CASES):
@@ -62,6 +95,22 @@ def build_cases() -> list[dict]:
             body = (lmu.Mu if v in ("X", "Z") else lmu.Nu)(v, body)
         argv = ["check", "--model", MODEL, "--lmu", lmu.render_lmu(body), "--json"]
         cases.append({"argv": argv, "model": render_model(m, rand_interp(rng, m))})
+    pctl_texts = list(PCTL_OPERATORS)
+    while len(pctl_texts) < ENCODE_CASES:
+        left, right = (pctl.render_pctl(rand_pctl(rng, 2)) for _ in range(2))
+        pctl_texts.append(f"({left}) & {right}" if rng.random() < 0.3 else left)
+    cases += [{"argv": ["encode", "--pctl", text], "model": None} for text in pctl_texts]
+    lmu_texts = iter(LMU_CONNECTIVES)
+    for i in range(TRANSLATE_CASES):
+        m = rand_model_exact(rng, 2, n_dists=2, max_support=2)
+        if i % 4 == 3:
+            argv = ["translate", "--model", MODEL, "--pctl", pctl_texts[i]]
+            interp = rand_bool_interp(rng, m)
+        else:
+            text = next(lmu_texts, None) or lmu.render_lmu(rand_lmu(rng, 3))
+            argv = ["translate", "--model", MODEL, "--lmu", text]
+            interp = rand_interp(rng, m)
+        cases.append({"argv": argv, "model": render_model(m, interp)})
     return cases
 
 
@@ -75,7 +124,7 @@ def run_case(case: dict, model_path: str) -> tuple[int, str]:
 
 def test_golden_cli_outputs(tmp_path):
     recorded = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert len(recorded) == EVAL_CASES + CHECK_CASES
+    assert len(recorded) == EVAL_CASES + CHECK_CASES + ENCODE_CASES + TRANSLATE_CASES
     model_path = tmp_path / "m.pnts"
     for case in recorded:
         if case["model"] is not None:

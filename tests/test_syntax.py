@@ -176,6 +176,65 @@ def test_parse_precedence():
     assert phi == expected
 
 
+# the concrete syntax's precedence levels, loosest first; infix connectives
+# are left-associative
+LEVELS = (
+    (lmu.Join,),
+    (lmu.Meet,),
+    (lmu.OPlus,),
+    (lmu.OTimes,),
+    (lmu.Diamond, lmu.Box),
+    (lmu.Scalar,),
+)
+LEVEL = {cls: i for i, group in enumerate(LEVELS) for cls in group}
+TEXT = {
+    lmu.Join: "\\/",
+    lmu.Meet: "/\\",
+    lmu.OPlus: "(+)",
+    lmu.OTimes: "(.)",
+    lmu.Diamond: "<>",
+    lmu.Box: "[]",
+    lmu.Scalar: "1/2*",
+}
+INFIX = (lmu.Join, lmu.Meet, lmu.OPlus, lmu.OTimes)
+
+
+def sample(cls, operand: lmu.Lmu, text: str) -> tuple[lmu.Lmu, str]:
+    """A node of class cls with the given (other) operand, and its text
+    with that operand's text spliced in unchanged."""
+    if cls in INFIX:
+        return cls(lmu.Prop("P1"), operand), f"P1 {TEXT[cls]} {text}"
+    if cls is lmu.Scalar:
+        return lmu.Scalar(Fraction(1, 2), operand), f"{TEXT[cls]}{text}"
+    return cls(operand), f"{TEXT[cls]}{text}"
+
+
+@pytest.mark.parametrize(
+    "outer, inner, side",
+    [
+        (outer, inner, side)
+        for outer in TEXT
+        for inner in TEXT
+        for side in (("left", "right") if outer in INFIX else ("body",))
+    ],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_render_parenthesizes_by_precedence(outer, inner, side):
+    """An operand is parenthesized exactly when it binds looser than its
+    position allows; an infix right operand at the outer level counts as
+    looser, since every infix connective is left-associative."""
+    node, text = sample(inner, lmu.Prop("P2"), "P2")
+    if side == "left":
+        bare = LEVEL[inner] >= LEVEL[outer]
+        phi = outer(node, lmu.Prop("P3"))
+        expected = f"{text if bare else f'({text})'} {TEXT[outer]} P3"
+    else:
+        bare = LEVEL[inner] > LEVEL[outer] if side == "right" else LEVEL[inner] >= LEVEL[outer]
+        phi, expected = sample(outer, node, text if bare else f"({text})")
+    assert lmu.render_lmu(phi) == expected
+    assert parse_lmu(expected) is phi
+
+
 def test_binder_scope_maximal_right_when_unparenthesized():
     phi = parse_lmu("mu X. P \\/ X")
     assert phi == lmu.Mu("X", lmu.Join(lmu.Prop("P"), lmu.Var("X")))
