@@ -316,6 +316,8 @@ class TermEvaluator:
         self._names: list[str] = []
         env: dict[str, int] = {}
         for name in names:
+            if isinstance(point[name], float):
+                raise EvalError(f"{name} = {point[name]!r} is a float, not an exact rational")
             v = Fraction(point[name])
             if not (0 <= v <= 1):
                 raise EvalError(f"{name} = {format_rational(v)} outside [0, 1]")

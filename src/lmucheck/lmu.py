@@ -35,6 +35,8 @@ __all__ = [
     "Nu",
     "ONE",
     "ZERO",
+    "INFIX",
+    "PREFIX",
     "constant",
     "used_names",
     "fresh_names",
@@ -117,6 +119,8 @@ class Const(Lmu):
 
     def __new__(cls, value):
         if type(value) is not Fraction:
+            if isinstance(value, float):
+                raise ValueError(f"constant {value!r} is a float, not an exact rational")
             value = Fraction(value)
         if value not in (0, 1):
             raise ValueError(f"constant {value} is neither 0 nor 1")
@@ -130,6 +134,8 @@ class Scalar(Lmu):
 
     def __new__(cls, factor, body):
         if type(factor) is not Fraction:
+            if isinstance(factor, float):
+                raise ValueError(f"scalar factor {factor!r} is a float, not an exact rational")
             factor = Fraction(factor)
         if not (0 <= factor.numerator <= factor.denominator):
             raise ValueError(f"scalar factor {factor} outside [0, 1]")
@@ -255,51 +261,38 @@ def fresh_names(avoid: set[str]) -> Iterator[str]:
         k += 1
 
 
-_LEVEL_BINDER = 0
-_LEVEL_JOIN = 1
-_LEVEL_MEET = 2
-_LEVEL_OPLUS = 3
-_LEVEL_OTIMES = 4
-_LEVEL_MODAL = 5
-_LEVEL_SCALAR = 6
-_LEVEL_ATOM = 7
+# the concrete syntax: infix connectives loosest first, each left-associative,
+# then the modalities; scalars, atoms and binders bind tighter still
+INFIX = ((Join, "\\/"), (Meet, "/\\"), (OPlus, "(+)"), (OTimes, "(.)"))
+PREFIX = {Diamond: "<>", Box: "[]"}
+
+# precedence levels: each infix connective's is its table index + 1
+_INFIX_LEVEL = {cls: (level, f" {symbol} ") for level, (cls, symbol) in enumerate(INFIX, 1)}
+_LEVEL_MODAL = len(INFIX) + 1
+_LEVEL_SCALAR = _LEVEL_MODAL + 1
 
 
 def _render(phi: Lmu, min_level: int) -> str:
-    if isinstance(phi, Const):
-        return format_rational(phi.value)
-    if isinstance(phi, (Var, Prop)):
+    kind = type(phi)
+    infix = _INFIX_LEVEL.get(kind)
+    if infix is not None:
+        level, symbol = infix
+        text = f"{_render(phi.left, level)}{symbol}{_render(phi.right, level + 1)}"
+    elif kind is Var or kind is Prop:
         return phi.name
-    if isinstance(phi, CoProp):
-        return f"~{phi.name}"
-    if isinstance(phi, Scalar):
+    elif kind is Const:
+        return format_rational(phi.value)
+    elif kind is Scalar:
         text = f"{format_rational(phi.factor)}*{_render(phi.body, _LEVEL_SCALAR)}"
         level = _LEVEL_SCALAR
-    elif isinstance(phi, Diamond):
-        text = f"<>{_render(phi.body, _LEVEL_MODAL)}"
+    elif kind in PREFIX:
+        text = f"{PREFIX[kind]}{_render(phi.body, _LEVEL_MODAL)}"
         level = _LEVEL_MODAL
-    elif isinstance(phi, Box):
-        text = f"[]{_render(phi.body, _LEVEL_MODAL)}"
-        level = _LEVEL_MODAL
-    elif isinstance(phi, OTimes):
-        text = f"{_render(phi.left, _LEVEL_OTIMES)} (.) {_render(phi.right, _LEVEL_OTIMES + 1)}"
-        level = _LEVEL_OTIMES
-    elif isinstance(phi, OPlus):
-        text = f"{_render(phi.left, _LEVEL_OPLUS)} (+) {_render(phi.right, _LEVEL_OPLUS + 1)}"
-        level = _LEVEL_OPLUS
-    elif isinstance(phi, Meet):
-        text = f"{_render(phi.left, _LEVEL_MEET)} /\\ {_render(phi.right, _LEVEL_MEET + 1)}"
-        level = _LEVEL_MEET
-    elif isinstance(phi, Join):
-        text = f"{_render(phi.left, _LEVEL_JOIN)} \\/ {_render(phi.right, _LEVEL_JOIN + 1)}"
-        level = _LEVEL_JOIN
-    elif isinstance(phi, Mu):
+    elif kind is CoProp:
+        return f"~{phi.name}"
+    elif kind is Mu or kind is Nu:
         # the parens delimit the scope; the parser reads them as the body
-        text = f"mu {phi.var}. ({_render(phi.body, _LEVEL_BINDER)})"
-        level = _LEVEL_ATOM
-    elif isinstance(phi, Nu):
-        text = f"nu {phi.var}. ({_render(phi.body, _LEVEL_BINDER)})"
-        level = _LEVEL_ATOM
+        return f"{'mu' if kind is Mu else 'nu'} {phi.var}. ({_render(phi.body, 0)})"
     else:
         raise TypeError(f"not a formula: {phi!r}")
     if level < min_level:
@@ -308,7 +301,7 @@ def _render(phi: Lmu, min_level: int) -> str:
 
 
 def render_lmu(phi: Lmu) -> str:
-    return _render(phi, _LEVEL_BINDER)
+    return _render(phi, 0)
 
 
 def dual(phi: Lmu) -> Lmu:
@@ -325,33 +318,28 @@ def dual(phi: Lmu) -> Lmu:
     return _dual(phi)
 
 
+_DUALS = {Join: Meet, Meet: Join, OPlus: OTimes, OTimes: OPlus, Diamond: Box, Box: Diamond}
+
+
 def _dual(phi: Lmu) -> Lmu:
-    if isinstance(phi, Var):
+    kind = type(phi)
+    swapped = _DUALS.get(kind)
+    if swapped is not None:
+        if kind in _BINARY:
+            return swapped(_dual(phi.left), _dual(phi.right))
+        return swapped(_dual(phi.body))
+    if kind is Var:
         return phi
-    if isinstance(phi, Prop):
+    if kind is Prop:
         return CoProp(phi.name)
-    if isinstance(phi, CoProp):
+    if kind is CoProp:
         return Prop(phi.name)
-    if isinstance(phi, Const):
+    if kind is Const:
         return ZERO if phi.value else ONE
-    if isinstance(phi, Scalar):
+    if kind is Scalar:
         return OPlus(Scalar(phi.factor, _dual(phi.body)), constant(1 - phi.factor))
-    if isinstance(phi, Join):
-        return Meet(_dual(phi.left), _dual(phi.right))
-    if isinstance(phi, Meet):
-        return Join(_dual(phi.left), _dual(phi.right))
-    if isinstance(phi, OPlus):
-        return OTimes(_dual(phi.left), _dual(phi.right))
-    if isinstance(phi, OTimes):
-        return OPlus(_dual(phi.left), _dual(phi.right))
-    if isinstance(phi, Diamond):
-        return Box(_dual(phi.body))
-    if isinstance(phi, Box):
-        return Diamond(_dual(phi.body))
-    if isinstance(phi, Mu):
-        return Nu(phi.var, _dual(phi.body))
-    if isinstance(phi, Nu):
-        return Mu(phi.var, _dual(phi.body))
+    if kind is Mu or kind is Nu:
+        return (Nu if kind is Mu else Mu)(phi.var, _dual(phi.body))
     raise TypeError(f"not a formula: {phi!r}")
 
 

@@ -99,19 +99,23 @@ def validate_model(m: Pnts, interp: Interpretation) -> list[str]:
             for t, w in d.entries:
                 if t not in declared:
                     errors.append(f"transition target {t} is not a declared state")
-                if w == 0:
+                if isinstance(w, float):
+                    errors.append(f"weight {w!r} for {t} is a float, not an exact rational")
+                elif w == 0:
                     errors.append(f"zero weight for {t} must be omitted")
                 elif not (0 < w <= 1):
                     errors.append(f"weight {format_rational(w)} for {t} outside (0, 1]")
             if d.total != 1:
                 errors.append(
-                    f"distribution at {s} sums to {format_rational(d.total)}, expected 1"
+                    f"distribution at {s} sums to {format_rational(Fraction(d.total))}, expected 1"
                 )
     for p, per_state in interp.valuation.items():
         for s, v in per_state.items():
             if s not in declared:
                 errors.append(f"valuation of {p} mentions undeclared state {s}")
-            if not (0 <= v <= 1):
+            if isinstance(v, float):
+                errors.append(f"valuation {p}({s}) = {v!r} is a float, not an exact rational")
+            elif not (0 <= v <= 1):
                 errors.append(f"valuation {p}({s}) = {format_rational(v)} outside [0, 1]")
     return errors
 

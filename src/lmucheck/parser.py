@@ -8,9 +8,11 @@ Formulas and terms share one token set:
 
     mu nu . <> [] \\/ /\\ (+) (.) ~ * ( ) rationals identifiers
 
-Operator precedence, tightest first: scalar `q*`, modal `<>` `[]`, `(.)`,
-`(+)`, `/\\`, `\\/`; binder scope extends maximally to the right. Bare `1`
-and `0` are the constant leaves `lmu.ONE` and `lmu.ZERO`, not fixed points.
+Operator precedence, tightest first: scalar `q*`, the modalities of
+`lmu.PREFIX`, then the infix connectives of `lmu.INFIX` from its end
+(`(.)`, `(+)`, `/\\`, `\\/`), each left-associative; binder scope extends
+maximally to the right. Bare `1` and `0` are the constant leaves `lmu.ONE`
+and `lmu.ZERO`, not fixed points.
 In formulas, an identifier bound by an enclosing binder is a variable and a
 free uppercase identifier is a proposition; free lowercase identifiers are
 rejected. In terms every identifier is a variable and must start with a
@@ -52,7 +54,10 @@ class Token:
 _NUM = r"\d+(/\d+|\.\d+)?"
 _IDENT = r"[A-Za-z_]\w*(@[A-Za-z_]\w*)?"
 
-_FORMULA_SYMBOLS = ("(+)", "(.)", "<>", "[]", "\\/", "/\\", "(", ")", ".", "*", "~")
+# the connectives' symbols come before "(", so `(+)` and `(.)` win over it
+_FORMULA_SYMBOLS = (*(s for _, s in lmu.INFIX), *lmu.PREFIX.values(), "(", ")", ".", "*", "~")
+_PREFIX = {symbol: cls for cls, symbol in lmu.PREFIX.items()}
+_TIGHTEST = len(lmu.INFIX)  # the level past the infix connectives
 _PCTL_SYMBOLS = (">=", ">", "!", "|", "&", "(", ")", "[", "]")
 
 
@@ -123,13 +128,13 @@ def _number(tok: Token) -> Fraction:
         raise ParseError(str(exc), tok.column) from exc
 
 
-def _unit_number(cur: _Cursor) -> Fraction:
-    tok = cur.next()
+def _unit_number(tok: Token, what: str) -> Fraction:
+    """The rational of a number token, in [0, 1]; `what` names it in the error."""
     if tok.kind != "num":
         raise ParseError(f"expected a rational, found {tok.text or 'end of input'!r}", tok.column)
     q = _number(tok)
     if not (0 <= q <= 1):
-        raise ParseError(f"coefficient {tok.text} outside [0, 1]", tok.column)
+        raise ParseError(f"{what} {tok.text} outside [0, 1]", tok.column)
     return q
 
 
@@ -143,12 +148,9 @@ class _LmuParser:
         self.cur = _Cursor(_tokenize(text, _FORMULA_SYMBOLS))
 
     def parse(self) -> lmu.Lmu:
-        phi = self.formula(frozenset())
+        phi = self.binary(frozenset())
         self.cur.done()
         return phi
-
-    def formula(self, env: frozenset[str]) -> lmu.Lmu:
-        return self.join(env)
 
     def binder(self, env: frozenset[str]) -> lmu.Lmu:
         tok = self.cur.next()
@@ -160,52 +162,34 @@ class _LmuParser:
         # maximally to the right
         if self.cur.at_sym("("):
             self.cur.next()
-            body = self.formula(env | {name})
+            body = self.binary(env | {name})
             self.cur.eat_sym(")")
         else:
-            body = self.formula(env | {name})
+            body = self.binary(env | {name})
         return lmu.Mu(name, body) if tok.text == "mu" else lmu.Nu(name, body)
 
     def _check_bound_name(self, tok: Token) -> None:
         if tok.text in ("mu", "nu"):
             raise ParseError(f"{tok.text} is a keyword, not a variable", tok.column)
 
-    def join(self, env: frozenset[str]) -> lmu.Lmu:
-        left = self.meet(env)
-        while self.cur.at_sym("\\/"):
+    def binary(self, env: frozenset[str], level: int = 0) -> lmu.Lmu:
+        """A left-associative chain of the infix connective `lmu.INFIX[level]`
+        over operands that bind tighter."""
+        if level == _TIGHTEST:
+            return self.modal(env)
+        cls, symbol = lmu.INFIX[level]
+        left = self.binary(env, level + 1)
+        while self.cur.at_sym(symbol):
             self.cur.next()
-            left = lmu.Join(left, self.meet(env))
-        return left
-
-    def meet(self, env: frozenset[str]) -> lmu.Lmu:
-        left = self.oplus(env)
-        while self.cur.at_sym("/\\"):
-            self.cur.next()
-            left = lmu.Meet(left, self.oplus(env))
-        return left
-
-    def oplus(self, env: frozenset[str]) -> lmu.Lmu:
-        left = self.otimes(env)
-        while self.cur.at_sym("(+)"):
-            self.cur.next()
-            left = lmu.OPlus(left, self.otimes(env))
-        return left
-
-    def otimes(self, env: frozenset[str]) -> lmu.Lmu:
-        left = self.modal(env)
-        while self.cur.at_sym("(.)"):
-            self.cur.next()
-            left = lmu.OTimes(left, self.modal(env))
+            left = cls(left, self.binary(env, level + 1))
         return left
 
     def modal(self, env: frozenset[str]) -> lmu.Lmu:
-        if self.cur.at_sym("<>"):
-            self.cur.next()
-            return lmu.Diamond(self.modal(env))
-        if self.cur.at_sym("[]"):
-            self.cur.next()
-            return lmu.Box(self.modal(env))
-        return self.scalar(env)
+        cls = _PREFIX.get(self.cur.peek().text)
+        if cls is None:
+            return self.scalar(env)
+        self.cur.next()
+        return cls(self.modal(env))
 
     def scalar(self, env: frozenset[str]) -> lmu.Lmu:
         tok = self.cur.peek()
@@ -213,10 +197,7 @@ class _LmuParser:
             self.cur.next()
             if self.cur.at_sym("*"):
                 self.cur.next()
-                q = _number(tok)
-                if not (0 <= q <= 1):
-                    raise ParseError(f"coefficient {tok.text} outside [0, 1]", tok.column)
-                return lmu.Scalar(q, self.scalar(env))
+                return lmu.Scalar(_unit_number(tok, "coefficient"), self.scalar(env))
             if tok.text == "1":
                 return lmu.ONE
             if tok.text == "0":
@@ -232,7 +213,7 @@ class _LmuParser:
             return self.binder(env)
         tok = self.cur.next()
         if tok.kind == "sym" and tok.text == "(":
-            phi = self.formula(env)
+            phi = self.binary(env)
             self.cur.eat_sym(")")
             return phi
         return self.leaf(tok, env)
@@ -329,7 +310,7 @@ class _PctlParser:
         if tok.kind == "ident" and tok.text in ("Pmax", "Pmin"):
             self.cur.next()
             strict = self._relation()
-            bound = _unit_number(self.cur)
+            bound = _unit_number(self.cur.next(), "probability bound")
             self.cur.eat_sym("[")
             path = self.bracketed_path()
             self.cur.eat_sym("]")
@@ -346,32 +327,31 @@ class _PctlParser:
         raise ParseError(f"expected > or >=, found {tok.text or 'end of input'!r}", tok.column)
 
     def quantified_path(self) -> pctl.PctlPath:
+        """The path after `E` or `A`: `X phi` or `[phi U psi]`."""
         if self.cur.at_ident("X"):
             self.cur.next()
             return pctl.Next(self.unary())
         if self.cur.at_sym("["):
             self.cur.next()
-            left = self.state()
-            self._eat_until()
-            right = self.state()
+            path = self.until()
             self.cur.eat_sym("]")
-            return pctl.Until(left, right)
+            return path
         tok = self.cur.peek()
         raise ParseError(f"expected X or [ after a path quantifier, found {tok.text!r}", tok.column)
 
     def bracketed_path(self) -> pctl.PctlPath:
+        """The path inside `Pmax...[ ]` or `Pmin...[ ]`: `X phi` or `phi U psi`."""
         if self.cur.at_ident("X"):
             self.cur.next()
             return pctl.Next(self.state())
-        left = self.state()
-        self._eat_until()
-        right = self.state()
-        return pctl.Until(left, right)
+        return self.until()
 
-    def _eat_until(self) -> None:
+    def until(self) -> pctl.Until:
+        left = self.state()
         tok = self.cur.next()
         if tok.kind != "ident" or tok.text != "U":
             raise ParseError(f"expected U, found {tok.text or 'end of input'!r}", tok.column)
+        return pctl.Until(left, self.state())
 
     def atom(self) -> pctl.PctlState:
         tok = self.cur.next()

@@ -77,6 +77,8 @@ class Forall(PctlState):
 
 
 def _check_bound(bound: Fraction) -> None:
+    if isinstance(bound, float):
+        raise ValueError(f"probability bound {bound!r} is a float, not an exact rational")
     if not (0 <= bound <= 1):
         raise ValueError(f"probability bound {bound} outside [0, 1]")
 
@@ -141,62 +143,40 @@ def propositions(phi: PctlState) -> set[str]:
     return names
 
 
+# `|` is the one infix connective and left-associative; every other state
+# formula binds tighter and is never parenthesized
 _LEVEL_OR = 0
-_LEVEL_UNARY = 2
-_LEVEL_ATOM = 3
+_LEVEL_UNARY = 1
 
 
-def _render_path(psi: PctlPath) -> str:
+def _render_path(psi: PctlPath, next_level: int) -> str:
+    """`X phi`, with phi rendered at next_level, or `phi U psi`, unbracketed."""
     if isinstance(psi, Next):
-        return f"X {_render(psi.body, _LEVEL_UNARY)}"
+        return f"X {_render(psi.body, next_level)}"
     if isinstance(psi, Until):
-        return f"[{_render(psi.left, _LEVEL_OR)} U {_render(psi.right, _LEVEL_OR)}]"
+        return f"{_render(psi.left, _LEVEL_OR)} U {_render(psi.right, _LEVEL_OR)}"
     raise TypeError(f"not a path formula: {psi!r}")
 
 
-def _prob_head(name: str, strict: bool, bound: Fraction) -> str:
-    rel = ">" if strict else ">="
-    return f"{name}{rel}{format_rational(bound)}"
-
-
 def _render(phi: PctlState, min_level: int) -> str:
+    if isinstance(phi, Or):
+        text = f"{_render(phi.left, _LEVEL_OR)} | {_render(phi.right, _LEVEL_UNARY)}"
+        return f"({text})" if min_level > _LEVEL_OR else text
     if isinstance(phi, TrueFormula):
         return "true"
     if isinstance(phi, Prop):
         return phi.name
     if isinstance(phi, Not):
-        text = f"!{_render(phi.body, _LEVEL_UNARY)}"
-        level = _LEVEL_UNARY
-    elif isinstance(phi, Or):
-        text = f"{_render(phi.left, _LEVEL_OR)} | {_render(phi.right, _LEVEL_OR + 1)}"
-        level = _LEVEL_OR
-    elif isinstance(phi, Exists):
-        body = _render_path(phi.path)
-        text = f"E {body}" if isinstance(phi.path, Next) else f"E{body}"
-        level = _LEVEL_UNARY
-    elif isinstance(phi, Forall):
-        body = _render_path(phi.path)
-        text = f"A {body}" if isinstance(phi.path, Next) else f"A{body}"
-        level = _LEVEL_UNARY
-    elif isinstance(phi, ProbExists):
-        text = f"{_prob_head('Pmax', phi.strict, phi.bound)}[{_render_inner(phi.path)}]"
-        level = _LEVEL_ATOM
-    elif isinstance(phi, ProbForall):
-        text = f"{_prob_head('Pmin', phi.strict, phi.bound)}[{_render_inner(phi.path)}]"
-        level = _LEVEL_ATOM
-    else:
-        raise TypeError(f"not a state formula: {phi!r}")
-    if level < min_level:
-        return f"({text})"
-    return text
-
-
-def _render_inner(psi: PctlPath) -> str:
-    if isinstance(psi, Next):
-        return f"X {_render(psi.body, _LEVEL_OR)}"
-    if isinstance(psi, Until):
-        return f"{_render(psi.left, _LEVEL_OR)} U {_render(psi.right, _LEVEL_OR)}"
-    raise TypeError(f"not a path formula: {psi!r}")
+        return f"!{_render(phi.body, _LEVEL_UNARY)}"
+    if isinstance(phi, (Exists, Forall)):
+        head = "E" if isinstance(phi, Exists) else "A"
+        path = _render_path(phi.path, _LEVEL_UNARY)
+        return f"{head} {path}" if isinstance(phi.path, Next) else f"{head}[{path}]"
+    if isinstance(phi, (ProbExists, ProbForall)):
+        head = "Pmax" if isinstance(phi, ProbExists) else "Pmin"
+        rel = ">" if phi.strict else ">="
+        return f"{head}{rel}{format_rational(phi.bound)}[{_render_path(phi.path, _LEVEL_OR)}]"
+    raise TypeError(f"not a state formula: {phi!r}")
 
 
 def render_pctl(phi: PctlState) -> str:

@@ -7,13 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from generators import rand_interp, rand_lmu, rand_model
-from lmucheck import lmu, terms
+from lmucheck import lmu, pctl, terms
 from lmucheck.checking import _closed_value, model_check_lmu, model_check_pctl
 from lmucheck.encoder import encode_pctl
 from lmucheck.evaluator import TermEvaluator, eval_term
-from lmucheck.model import parse_model
+from lmucheck.model import Distribution, Interpretation, Pnts, parse_model, validate_model
 from lmucheck.oracle import OracleError, kleene_lmu, kleene_term, pctl_oracle
-from lmucheck.parser import parse_lmu, parse_pctl
+from lmucheck.parser import parse_lmu, parse_pctl, parse_term
 from lmucheck.translator import TranslationError, translate_all
 
 CONNECTIVES = [lmu.Join, lmu.Meet, lmu.OPlus, lmu.OTimes]
@@ -213,3 +213,75 @@ def test_constant_terms_are_read_off(q):
     reference = TermEvaluator().evaluate(t, {})
     assert reference.value == q
     assert reference.iterations == 0
+
+
+# P holds at s1 only; s0 moves to s1 with probability 3/10, which 0.3 is not
+SPLIT = "state s0 s1 s2\nprop P = { s1: 1 }\ntrans s0 -> { s1: 3/10, s2: 7/10 }\n"
+
+
+def pipeline_and_oracle(bound) -> tuple[Fraction, bool]:
+    m, interp = parse_model(SPLIT)
+    phi = pctl.ProbExists(False, bound, pctl.Next(pctl.Prop("P")))
+    return model_check_pctl(phi, m, interp).values["s0"], pctl_oracle(phi, m, interp)["s0"]
+
+
+def weights(w) -> list[str]:
+    m, interp = parse_model(SPLIT)
+    return validate_model(Pnts(m.states, {"s0": (Distribution((("s1", w), ("s2", 1 - w))),)}), interp)
+
+
+def labels(v) -> list[str]:
+    m, _ = parse_model(SPLIT)
+    return validate_model(m, Interpretation({"P": {"s1": v}}))
+
+
+@pytest.mark.parametrize(
+    "entry, exact, accepted, refusal",
+    [
+        (
+            lambda q: eval_term(parse_term("x"), {"x": q}).value,
+            Fraction(1, 10),
+            Fraction(1, 10),
+            "x = 0.1 is a float, not an exact rational",
+        ),
+        (
+            lambda q: lmu.Scalar(q, lmu.Var("x")).factor,
+            Fraction(1, 10),
+            Fraction(1, 10),
+            "scalar factor 0.1 is a float, not an exact rational",
+        ),
+        (lmu.Const, Fraction(1), lmu.ONE, "constant 1.0 is a float, not an exact rational"),
+        (
+            pipeline_and_oracle,
+            Fraction(3, 10),
+            (1, True),
+            "probability bound 0.3 is a float, not an exact rational",
+        ),
+        (
+            weights,
+            Fraction(3, 10),
+            [],
+            [
+                "weight 0.3 for s1 is a float, not an exact rational",
+                "weight 0.7 for s2 is a float, not an exact rational",
+            ],
+        ),
+        (labels, Fraction(1), [], ["valuation P(s1) = 1.0 is a float, not an exact rational"]),
+    ],
+    ids=["eval_term", "Scalar", "Const", "ProbExists", "weights", "labels"],
+)
+def test_floats_are_refused(entry, exact, accepted, refusal):
+    """A binary float is refused with the error each entry point raises or
+    reports for a bad value, where converting it would silently change the
+    number (0.3 is 5404319552844595/18014398509481984); exact values and
+    ints are accepted."""
+
+    def outcome(value):
+        try:
+            return entry(value)
+        except ValueError as exc:
+            return str(exc)
+
+    assert outcome(float(exact)) == refusal
+    assert outcome(exact) == accepted
+    assert not isinstance(outcome(1), str)

@@ -200,8 +200,8 @@ INFIX = (lmu.Join, lmu.Meet, lmu.OPlus, lmu.OTimes)
 
 
 def sample(cls, operand: lmu.Lmu, text: str) -> tuple[lmu.Lmu, str]:
-    """A node of class cls with the given (other) operand, and its text
-    with that operand's text spliced in unchanged."""
+    """A node of class cls whose last operand is `operand`, and its text,
+    with `text` written for that operand."""
     if cls in INFIX:
         return cls(lmu.Prop("P1"), operand), f"P1 {TEXT[cls]} {text}"
     if cls is lmu.Scalar:
@@ -295,6 +295,39 @@ def test_parse_errors():
         parse_pctl("Pmax=1/2 [ P U Q ]")
     with pytest.raises(ParseError, match="keyword"):
         parse_pctl("P | X")
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_pctl, "Pmax>=3/2 [X P]", "column 7: probability bound 3/2 outside [0, 1]"),
+        (parse_pctl, "Pmin>1.5 [P U Q]", "column 6: probability bound 1.5 outside [0, 1]"),
+        (parse_lmu, "1/2*3/2*P", "column 5: coefficient 3/2 outside [0, 1]"),
+        (parse_term, "3/2*x", "column 1: coefficient 3/2 outside [0, 1]"),
+    ],
+)
+def test_range_errors_name_what_they_check(parse, text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # `E` and `A` take `X phi` or a bracketed until, never a bracketed next
+        ("E[X P]", "column 3: X is a keyword, not a proposition"),
+        ("A [X P]", "column 4: X is a keyword, not a proposition"),
+        ("E[P U Q", "column 8: expected ']', found 'end of input'"),
+        ("E P", "column 3: expected X or [ after a path quantifier, found 'P'"),
+        ("Pmax>0 [P]", "column 10: expected U, found ']'"),
+        ("Pmax>0 [X P U Q]", "column 13: expected ']', found 'U'"),
+    ],
+)
+def test_pctl_path_errors(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_pctl(text)
+    assert str(info.value) == message
 
 
 def test_lmu_round_trip_random():
