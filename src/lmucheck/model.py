@@ -126,7 +126,11 @@ _TRANS_LINE = re.compile(r"^trans\s+([a-z]\w*)\s*->\s*\{(.*)\}$")
 _STATE_NAME = re.compile(r"^[a-z]\w*$")
 
 
-def _parse_pairs(body: str, lineno: int, what: str) -> list[tuple[str, Fraction]]:
+def _parse_pairs(
+    body: str, lineno: int, what: str, rationals: dict[str, Fraction]
+) -> list[tuple[str, Fraction]]:
+    """The `state: rational` pairs of a line; `rationals` maps each rational
+    text already parsed to its value, and a text that fails is never in it."""
     pairs: list[tuple[str, Fraction]] = []
     body = body.strip()
     if not body:
@@ -135,12 +139,13 @@ def _parse_pairs(body: str, lineno: int, what: str) -> list[tuple[str, Fraction]
         if ":" not in chunk:
             raise ModelError(f"line {lineno}: expected `state: rational` in {what}")
         name, _, value = chunk.partition(":")
-        name = name.strip()
-        try:
-            q = parse_rational(value)
-        except RationalParseError as exc:
-            raise ModelError(f"line {lineno}: {exc}") from exc
-        pairs.append((name, q))
+        q = rationals.get(value)
+        if q is None:
+            try:
+                q = rationals[value] = parse_rational(value)
+            except RationalParseError as exc:
+                raise ModelError(f"line {lineno}: {exc}") from exc
+        pairs.append((name.strip(), q))
     return pairs
 
 
@@ -154,6 +159,9 @@ def parse_model(text: str) -> tuple[Pnts, Interpretation]:
     order: dict[str, int] = {}  # declared states, in declaration order
     valuation: dict[str, dict[str, Fraction]] = {}
     trans: dict[str, list[Distribution]] = {}
+    # rational text -> value, for this call only; the checks below run on
+    # every use, with the using line's number
+    rationals: dict[str, Fraction] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -176,7 +184,7 @@ def parse_model(text: str) -> tuple[Pnts, Interpretation]:
             if prop in valuation:
                 raise ModelError(f"line {lineno}: duplicate proposition {prop}")
             per_state: dict[str, Fraction] = {}
-            for name, q in _parse_pairs(body, lineno, "prop"):
+            for name, q in _parse_pairs(body, lineno, "prop", rationals):
                 if name not in order:
                     raise ModelError(f"line {lineno}: unknown state {name}")
                 if name in per_state:
@@ -194,7 +202,7 @@ def parse_model(text: str) -> tuple[Pnts, Interpretation]:
             if src not in order:
                 raise ModelError(f"line {lineno}: unknown state {src}")
             weights: dict[str, Fraction] = {}
-            for name, q in _parse_pairs(body, lineno, "trans"):
+            for name, q in _parse_pairs(body, lineno, "trans", rationals):
                 if name not in order:
                     raise ModelError(f"line {lineno}: unknown state {name}")
                 if name in weights:

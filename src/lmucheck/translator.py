@@ -40,9 +40,18 @@ as `tconst(q)` and folded node by node. Every term denotes a value in
   only fixed point of a map that ignores its argument (a constant body
   included); `mu x. x` is 0 and `nu x. x` is 1, the least and greatest
   fixed points of the identity;
+- `mu x. (x (+) c)` is 1 and `nu x. (x (.) c)` is 0, for a constant node
+  `c = q*1` on either side: the rules above never leave 0 or 1 next to an
+  undecided operand, so 0 < q < 1, and then 1 is the only fixed point of
+  min(1, x+q) and 0 the only one of max(0, x+q-1). These are the threshold
+  macros of `lmu.expand_threshold` once their argument is decided, as in
+  every next-step PCTL operator on boolean labels;
 - the literals `1` and `0` are the constants 1 and 0;
 - propositions, co-propositions, deadlocked modalities (the empty join is
-  0, the empty meet 1) and the per-distribution sums use the same rules.
+  0, the empty meet 1) and the per-distribution sums use the same rules. A
+  sum adds its leading decided pieces on integers, as one numerator over a
+  product of denominators, and makes one `Fraction` when an undecided piece
+  ends the run; the value is the same as adding them one by one.
 
 Strata: given an evaluator, the walk also evaluates each proper closed
 binder (`mu`/`nu` with no free variable, other than the root) at each state
@@ -84,6 +93,11 @@ _CLOSED: frozenset[tuple[int, str]] = frozenset()  # the context a closed node r
 
 # a translated subterm: its value once constants decide it, else a term
 Folded = Fraction | terms.Term
+
+
+def _is_constant(t: terms.Term) -> bool:
+    """Whether t is a constant node `q*1`."""
+    return type(t) is terms.TScalar and t.body is terms.T_ONE
 
 
 class TranslationError(ValueError):
@@ -179,11 +193,23 @@ def translate_all(
             return q * body
         return terms.TScalar(q, body)
 
+    # binder -> (connective of its threshold body, the body's one fixed point)
+    thresholds = {terms.TMu: (terms.TOPlus, _ONE), terms.TNu: (terms.TOTimes, _ZERO)}
+
     def bind(cls: type, var: str, body: Folded) -> Folded:
         if not isinstance(body, terms.Term) or var not in body.free:
             return body
-        if isinstance(body, terms.TVar) and body.name == var:
+        # the variable is free in the body, so a variable body, or a
+        # variable next to a closed constant, is the variable itself
+        if isinstance(body, terms.TVar):
             return _ZERO if cls is terms.TMu else _ONE
+        connective, value = thresholds[cls]
+        if type(body) is connective:
+            left, right = body.left, body.right
+            if (_is_constant(left) and type(right) is terms.TVar) or (
+                type(left) is terms.TVar and _is_constant(right)
+            ):
+                return value
         return cls(var, body)
 
     memo: dict[tuple[lmu.Lmu, frozenset[tuple[int, str]], str], Folded] = {}
@@ -196,13 +222,32 @@ def translate_all(
         return bind(cls, term_var(i, s), body)
 
     def modal_sum(d, sub: lmu.Lmu, gamma: frozenset[tuple[int, str]]) -> Folded:
-        acc: Folded | None = None
-        for target, weight in d.entries:
-            piece = scale(weight, walk(sub, gamma, target))
-            acc = piece if acc is None else combine(terms.TOPlus, acc, piece)
+        # the leading decided pieces, summed as num/den on integers
+        num, den = 0, 1
+        entries = iter(d.entries)
+        for target, weight in entries:
+            value = walk(sub, gamma, target)
+            if isinstance(value, terms.Term):
+                acc = scale(weight, value)
+                if num:
+                    acc = combine(terms.TOPlus, Fraction(num, den), acc)
+                break
+            n = weight.numerator * value.numerator
+            if n:
+                piece_den = weight.denominator * value.denominator
+                if den % piece_den:
+                    num, den = num * piece_den + n * den, den * piece_den
+                else:
+                    num += n * (den // piece_den)
+                if num >= den:
+                    return _ONE
+        else:
+            return Fraction(num, den)
+        # the rest piece by piece, so each constant keeps its place in the term
+        for target, weight in entries:
+            acc = combine(terms.TOPlus, acc, scale(weight, walk(sub, gamma, target)))
             if not isinstance(acc, terms.Term) and acc == 1:
                 break
-        assert acc is not None, "distributions have nonempty support"
         return acc
 
     def modal(

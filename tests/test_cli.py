@@ -10,7 +10,7 @@ from lmucheck.cli import main
 from lmucheck.evaluator import EvalError, InternalInvariantError
 from lmucheck.model import ModelError, render_model
 from lmucheck.oracle import OracleError
-from lmucheck.parser import ParseError
+from lmucheck.parser import ParseError, parse_pctl
 from lmucheck.rationals import RationalParseError
 from lmucheck.translator import TranslationError
 
@@ -385,3 +385,42 @@ def test_recursion_limit_exit_1(capsys, model_file):
     )
     assert code == 1 and out == ""
     assert "recursion limit (20000)" in err
+
+
+# s0 and s1 satisfy P1, s2 satisfies P2; from s1 one step reaches P1 with
+# probability 1/2, and s0 reaches P2 only through s1
+LADDER = """state s0 s1 s2
+prop P1 = { s0: 1, s1: 1 }
+prop P2 = { s2: 1 }
+trans s0 -> { s0: 1/2, s1: 1/2 }
+trans s1 -> { s0: 1/2, s2: 1/2 }
+trans s2 -> { s2: 1 }
+"""
+
+
+@pytest.mark.parametrize(
+    "formula, loops",
+    [
+        # a next-step threshold over boolean labels has a decided argument, so
+        # its binder folds and no loop runs
+        ("E X P1", False),
+        ("A X P1", False),
+        ("Pmax>=1/2 [X P1]", False),
+        ("Pmin>1/3 [X P1]", False),
+        # the threshold inside the until reads the until's variable: it keeps
+        # its binder and the loop runs
+        ("E [P1 U P2]", True),
+    ],
+)
+def test_threshold_loops_run_only_over_undecided_arguments(capsys, tmp_path, formula, loops):
+    path = tmp_path / "ladder.pnts"
+    path.write_text(LADDER)
+    code, out, _ = run(capsys, "check", "--model", str(path), "--pctl", formula, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["iterations"] > 0) == loops
+    m, interp = model.parse_model(LADDER)
+    verdicts = oracle.pctl_oracle(parse_pctl(formula), m, interp)
+    assert {r["state"]: r["num"] for r in doc["results"]} == {
+        s: str(int(v)) for s, v in verdicts.items()
+    }

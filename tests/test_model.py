@@ -118,3 +118,38 @@ def test_parse_alone_enforces_every_invariant(text, message):
     with pytest.raises(ModelError, match=message):
         parse_model(text)
 
+
+
+# one parse reads each rational text once; every use still runs its line's
+# checks, and a text that fails is read, and refused, at each use
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # `0` is a label on line 2, then a weight on line 3
+        ("state s0 s1\nprop P = { s0: 0 }\ntrans s0 -> { s0: 1, s1: 0 }",
+         "line 3: zero weight for s1 must be omitted"),
+        # `1/2` is a label on line 2, then the only weight of line 3
+        ("state s0 s1\nprop P = { s0: 1/2 }\ntrans s0 -> { s1: 1/2 }",
+         "line 3: distribution sums to 1/2, expected 1"),
+        # `3/2` is refused where it is first used, as a label or a weight
+        ("state s0\nprop P = { s0: 3/2 }\ntrans s0 -> { s0: 3/2 }",
+         r"line 2: valuation 3/2 outside \[0, 1\]"),
+        ("state s0\ntrans s0 -> { s0: 3/2 }\nprop P = { s0: 3/2 }",
+         r"line 2: weight 3/2 outside \(0, 1\]"),
+        ("state s0\nprop P = { s0: 1 }\nprop Q = { s0: 3/2 }\ntrans s0 -> { s0: 3/2 }",
+         r"line 3: valuation 3/2 outside \[0, 1\]"),
+    ],
+)
+def test_each_use_of_a_rational_is_checked_on_its_line(text, message):
+    with pytest.raises(ModelError, match=message):
+        parse_model(text)
+
+
+@pytest.mark.parametrize("bad", ["1/0", "1//2", "x"])
+def test_a_malformed_rational_is_refused_every_time(bad):
+    for lineno in (2, 3):
+        lines = ["state s0", "prop P = { s0: 1 }", "prop Q = { s0: 1 }"]
+        lines[lineno - 1] = lines[lineno - 1].replace("1 }", f"{bad} }}")
+        for _ in range(2):  # no call remembers a failure
+            with pytest.raises(ModelError, match=f"line {lineno}: "):
+                parse_model("\n".join(lines))

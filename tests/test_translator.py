@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from generators import rand_interp, rand_lmu, rand_model, rand_model_exact, term_dag
 from lmucheck import lmu, terms
@@ -160,6 +162,11 @@ X_S = terms.TVar(term_var(1, "s"))
 HALF_X = terms.TMu(term_var(1, "s"), terms.TScalar(F(1, 2), X_S))  # mu x. 1/2*x
 
 
+def threshold(rel, arg, q=None):
+    """The text of `lmu.expand_threshold(rel, arg, q)`."""
+    return lmu.render_lmu(lmu.expand_threshold(rel, parse_lmu(arg), q))
+
+
 @pytest.mark.parametrize(
     "text, state, expected",
     [
@@ -206,6 +213,26 @@ HALF_X = terms.TMu(term_var(1, "s"), terms.TScalar(F(1, 2), X_S))  # mu x. 1/2*x
         ("[]C", "s", F(0)),
         ("<>C", "s", F(3, 8)),
         ("[]~C", "s", F(5, 8)),
+        # thresholds over a decided argument: `mu x. (x (+) q*1)` is 1 and
+        # `nu x. (x (.) q*1)` is 0 for 0 < q < 1, constant on either side
+        (threshold(">0", "A"), "s", F(1)),
+        (threshold(">0", "<>A"), "s", F(1)),
+        (threshold(">0", "No"), "s", F(0)),
+        (threshold("=1", "A"), "s", F(0)),
+        (threshold("=1", "<>C"), "s", F(0)),
+        (threshold("=1", "Yes"), "s", F(1)),
+        ("mu X. (C (+) X)", "s", F(1)),
+        ("mu X. (X (+) C)", "s", F(1)),
+        ("nu X. (C (.) X)", "s", F(0)),
+        ("nu X. (X (.) C)", "s", F(0)),
+        # the argument B = 1/2 at q, just below q (q = 51/100) and just above
+        # it (q = 49/100)
+        (threshold(">", "B", F(1, 2)), "s", F(0)),
+        (threshold(">", "B", F(51, 100)), "s", F(0)),
+        (threshold(">", "B", F(49, 100)), "s", F(1)),
+        (threshold(">=", "B", F(1, 2)), "s", F(1)),
+        (threshold(">=", "B", F(51, 100)), "s", F(0)),
+        (threshold(">=", "B", F(49, 100)), "s", F(1)),
     ],
 )
 def test_fold_rules(text, state, expected):
@@ -262,6 +289,12 @@ def assert_fully_folded(per_state) -> None:
         elif isinstance(n, (terms.TMu, terms.TNu)):
             # a constant body mentions no variable, so this covers it
             assert n.var in n.body.free and n.body is not terms.TVar(n.var), n
+            # no threshold over a decided argument: mu x. (x (+) q*1) is 1
+            # and nu x. (x (.) q*1) is 0, with x on either side
+            connective = terms.TOPlus if isinstance(n, terms.TMu) else terms.TOTimes
+            if isinstance(n.body, connective):
+                sides = (n.body.left, n.body.right)
+                assert not (terms.TVar(n.var) in sides and any(map(is_constant, sides))), n
 
 
 def test_folded_values_within_kleene_bounds_on_random_corpus():
@@ -299,3 +332,37 @@ def test_constants_fold_to_values_not_nodes(monkeypatch):
     assert len(built) <= len(m.states)
     expected = direct_value(phi, m, interp)
     assert per_state == {s: tconst(expected[s]) for s in m.states}
+
+
+# s loops back to itself between deadlocked successors that labels decide:
+# a and c have fractional labels and b has label 1
+SUM_ORDER = """
+state a c s b
+prop P = { a: 1/2, c: 1/3, b: 1 }
+trans s -> { a: 1/4, s: 1/2, b: 1/4 }
+trans s -> { a: 1/4, c: 1/6, s: 1/3, b: 1/4 }
+"""
+
+
+def test_sum_keeps_constants_on_both_sides_of_an_undecided_piece():
+    # the pieces at a (and c) are decided, at s undecided, at b decided: the
+    # leading run folds to one constant (1/8, then 1/8 + 1/18 = 13/72), and
+    # the piece after the undecided one stays a constant of its own
+    m, interp = parse_model(SUM_ORDER)
+    t = translate_all(parse_lmu("mu X. (P \\/ <>X)"), m, interp, ("s",))["s"]
+    assert terms.render_term(t) == (
+        "mu x_1@s. (1/8*1 (+) 1/2*x_1@s (+) 1/4*1 \\/ 13/72*1 (+) 1/3*x_1@s (+) 1/4*1)"
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_sums_over_large_denominators_fold_to_direct_value(seed):
+    # weights and labels with denominators up to 1000, supports up to 3:
+    # sums of decided pieces run on integers over products of denominators
+    rng = random.Random(seed)
+    m = rand_model_exact(rng, rng.randint(2, 4), n_dists=2, max_support=3, max_den=1000)
+    interp = rand_interp(rng, m, max_den=1000)
+    phi = rand_lmu(rng, depth=rng.randint(1, 3), fixed_point_free=True)
+    expected = direct_value(phi, m, interp)
+    assert translate_all(phi, m, interp) == {s: terms.tconst(expected[s]) for s in m.states}
