@@ -6,7 +6,8 @@ proper closed fixed point (in PCTL encodings, every inner `P`, `E` and `A`
 operator) at each state where it reaches one, innermost first, and keeps
 the value in its memo, where the enclosing formula folds it like a label.
 A closed subformula means the same in every environment, so no value
-changes. The same evaluator then evaluates each root term.
+changes. The walk hands back a state that constants decide as its value;
+the same evaluator then evaluates the root term of each other state.
 
 A PCTL check encodes the formula and checks the encoding. Its only extra
 precondition is a boolean valuation, which it tests on the labels alone;
@@ -30,7 +31,8 @@ __all__ = ["CheckOutcome", "model_check_lmu", "model_check_pctl"]
 
 @dataclass(frozen=True)
 class CheckOutcome:
-    """Exact per-state values in canonical state order, and the loop iterations run."""
+    """Exact per-state values in the order of the requested states
+    (canonical by default), and the loop iterations run."""
 
     values: dict[str, Fraction]
     iterations: int
@@ -44,18 +46,12 @@ def model_check_lmu(
 ) -> CheckOutcome:
     """Value of a closed formula at each requested state (default: all)."""
     evaluator = TermEvaluator()
-    targets = states if states is not None else m.states
-    per_state = translate_all(phi, m, interp, targets, evaluator=evaluator)
-    values = {s: _closed_value(evaluator, per_state[s]) for s in targets}
+    per_state = translate_all(phi, m, interp, states, evaluator=evaluator)
+    values = {
+        s: evaluator.value(t, {}) if isinstance(t, terms.Term) else t
+        for s, t in per_state.items()
+    }
     return CheckOutcome(values, evaluator.loop_iterations)
-
-
-def _closed_value(evaluator: TermEvaluator, term: terms.Term) -> Fraction:
-    """Value of a closed per-state term; a constant `q*1` is q, read off
-    without evaluator state or a loop."""
-    if type(term) is terms.TScalar and term.body is terms.T_ONE:
-        return term.factor
-    return evaluator.value(term, {})
 
 
 def model_check_pctl(

@@ -51,24 +51,16 @@ def encode_pctl(phi: pctl.PctlState) -> lmu.Lmu:
         return lmu.Join(encode_pctl(phi.left), encode_pctl(phi.right))
     if isinstance(phi, pctl.Not):
         return lmu.dual(encode_pctl(phi.body))
-    if isinstance(phi, pctl.Exists):
+    if isinstance(phi, (pctl.Exists, pctl.Forall)):
+        rel, modality = (">0", lmu.Diamond) if isinstance(phi, pctl.Exists) else ("=1", _boxdot)
+
+        def step(x: lmu.Lmu) -> lmu.Lmu:
+            return lmu.expand_threshold(rel, modality(x))
+
         path = phi.path
         if isinstance(path, pctl.Next):
-            return lmu.expand_threshold(">0", lmu.Diamond(encode_pctl(path.body)))
-        return _until_loop(
-            encode_pctl(path.right),
-            encode_pctl(path.left),
-            lambda x: lmu.expand_threshold(">0", lmu.Diamond(x)),
-        )
-    if isinstance(phi, pctl.Forall):
-        path = phi.path
-        if isinstance(path, pctl.Next):
-            return lmu.expand_threshold("=1", _boxdot(encode_pctl(path.body)))
-        return _until_loop(
-            encode_pctl(path.right),
-            encode_pctl(path.left),
-            lambda x: lmu.expand_threshold("=1", _boxdot(x)),
-        )
+            return step(encode_pctl(path.body))
+        return _until_loop(encode_pctl(path.right), encode_pctl(path.left), step)
     if isinstance(phi, (pctl.ProbExists, pctl.ProbForall)):
         modality = lmu.Diamond if isinstance(phi, pctl.ProbExists) else _boxdot
         path = phi.path

@@ -1,6 +1,7 @@
 """Translation of a closed formula over a finite model into one closed term per state.
 
-Binders are first alpha-renamed apart and indexed 1..m in pre-order. The
+Binders are first alpha-renamed apart; binder i is the i-th `mu`/`nu`
+node in pre-order, and a variable finds its number by name. The
 translation walks the formula per state, tracking in a context which
 (binder, state) pairs are currently open: a variable hit inside the context
 becomes the term variable `x_i@s`, a miss re-expands its binder at the
@@ -24,10 +25,10 @@ states, so re-entry adds (i, s) to it, as entering binder i does.
 The walk folds constants as it goes. A subterm that constants decide is
 kept as its value, a `Fraction`, in the memo and in every rule below; no
 node is built for it. A constant becomes the term node `tconst(q)` only
-where it meets an undecided operand (`q \\/ t`, say) and as a per-state
-result, so the terms returned are the same as if every constant were built
-as `tconst(q)` and folded node by node. Every term denotes a value in
-[0, 1], which makes each rule exact:
+where it meets an undecided operand (`q \\/ t`, say) and, without an
+evaluator, as a per-state result, so the terms returned are the same as if
+every constant were built as `tconst(q)` and folded node by node. Every
+term denotes a value in [0, 1], which makes each rule exact:
 
 - two constant operands of `\\/ /\\ (+) (.)` fold to the constant their
   connective computes (max, min, min(1, a+b), max(0, a+b-1));
@@ -58,9 +59,10 @@ binder (`mu`/`nu` with no free variable, other than the root) at each state
 it reaches, and keeps the value in the memo under (node, {}, state). The
 enclosing formula folds that value like a label, as a state-labelling
 checker does with a nested `P` operator; a closed subformula means the same
-in every context, so no value changes. Without an evaluator, as in
-`translate`, the walk builds the whole unstratified term, the reference
-object.
+in every context, so no value changes. A state that constants decide
+comes back as its value; the walk never evaluates a root term, which is
+left to the check. Without an evaluator, as in `translate`, the walk builds
+the whole unstratified term, the reference object.
 
 Short-circuit: when the left operand of `\\/`/`(+)` folds to 1, or that of
 `/\\`/`(.)` to 0, or a formula scalar is 0, the other operand is not walked,
@@ -72,20 +74,13 @@ re-expansion at states where the formula is already decided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lmu, terms
 from .evaluator import TermEvaluator
 from .model import Interpretation, Pnts
 
-__all__ = [
-    "TranslationError",
-    "BinderIndex",
-    "index_binders",
-    "term_var",
-    "translate_all",
-]
+__all__ = ["TranslationError", "term_var", "translate_all"]
 
 
 _ONE, _ZERO = Fraction(1), Fraction(0)
@@ -104,30 +99,6 @@ class TranslationError(ValueError):
     """Bad translation input or blown expansion budget."""
 
 
-@dataclass(frozen=True)
-class BinderIndex:
-    """Pre-order numbering of a normalized formula's binders."""
-
-    kinds: tuple[str, ...]  # "mu" | "nu", position i holds binder i+1
-    bodies: tuple[lmu.Lmu, ...]
-    index_of: dict[str, int]  # bound variable name -> 1-based index
-
-
-def index_binders(phi: lmu.Lmu) -> BinderIndex:
-    """Number the binders of a formula whose bound variables are distinct."""
-    kinds: list[str] = []
-    bodies: list[lmu.Lmu] = []
-    index_of: dict[str, int] = {}
-    for sub in lmu.subformulas(phi):
-        if isinstance(sub, (lmu.Mu, lmu.Nu)):
-            if sub.var in index_of:
-                raise TranslationError(f"binder variable {sub.var} is not distinct")
-            index_of[sub.var] = len(kinds) + 1
-            kinds.append("mu" if isinstance(sub, lmu.Mu) else "nu")
-            bodies.append(sub.body)
-    return BinderIndex(tuple(kinds), tuple(bodies), index_of)
-
-
 def term_var(i: int, state: str) -> str:
     return f"x_{i}@{state}"
 
@@ -140,13 +111,17 @@ def translate_all(
     *,
     max_steps: int = 1_000_000,
     evaluator: TermEvaluator | None = None,
-) -> dict[str, terms.Term]:
-    """Per-state closed terms, maximally shared across states.
+) -> dict[str, Folded]:
+    """Per-state closed terms, maximally shared across states, in the order
+    of `states` (default: all, in canonical order).
 
     The per-state terms reuse identical subterm objects (one memo covers all
-    requested states), which downstream evaluation caches exploit. With an
-    `evaluator`, each proper closed fixed point is evaluated where the walk
-    reaches it and stands in the terms as its value.
+    requested states), which downstream evaluation caches exploit. Without
+    an `evaluator`, a decided state's term is the constant `q*1`. With one,
+    as in a check, each proper closed fixed point is evaluated where the
+    walk reaches it and stands in the terms as its value, and a decided
+    state comes back as its value, a `Fraction`, leaving only the states
+    that stay terms to evaluate.
     """
     targets = m.states if states is None else states
     for state in targets:
@@ -155,7 +130,8 @@ def translate_all(
     if phi.free:
         raise TranslationError(f"formula must be closed; free: {list(phi.free)}")
     phi = lmu.normalize_binders(phi)
-    binders = index_binders(phi)
+    binders = [n for n in lmu.subformulas(phi) if isinstance(n, (lmu.Mu, lmu.Nu))]
+    number = {binder.var: i for i, binder in enumerate(binders, 1)}
 
     # Constant folding. A decided subterm is its value, a `Fraction`; a term
     # node is built only where a constant meets an undecided operand.
@@ -217,8 +193,9 @@ def translate_all(
 
     def expand(i: int, gamma: frozenset[tuple[int, str]], s: str) -> Folded:
         """Binder i at state s, (i, s) opened in the context."""
-        body = walk(binders.bodies[i - 1], gamma | {(i, s)}, s)
-        cls = terms.TMu if binders.kinds[i - 1] == "mu" else terms.TNu
+        binder = binders[i - 1]
+        body = walk(binder.body, gamma | {(i, s)}, s)
+        cls = terms.TMu if type(binder) is lmu.Mu else terms.TNu
         return bind(cls, term_var(i, s), body)
 
     def modal_sum(d, sub: lmu.Lmu, gamma: frozenset[tuple[int, str]]) -> Folded:
@@ -268,7 +245,7 @@ def translate_all(
     def walk(node: lmu.Lmu, gamma: frozenset[tuple[int, str]], s: str) -> Folded:
         # the node reads no entry numbered above its innermost free variable
         if node.free:
-            k = max(map(binders.index_of.__getitem__, node.free))
+            k = max(map(number.__getitem__, node.free))
             gamma = frozenset(e for e in gamma if e[0] <= k)
         else:
             gamma = _CLOSED
@@ -280,7 +257,7 @@ def translate_all(
         if steps[0] > max_steps:
             raise TranslationError(f"translation exceeded {max_steps} steps")
         if isinstance(node, lmu.Var):
-            i = binders.index_of[node.name]
+            i = number[node.name]
             if (i, s) in gamma:
                 result: Folded = terms.TVar(term_var(i, s))
             else:
@@ -308,7 +285,7 @@ def translate_all(
         elif isinstance(node, lmu.Box):
             result = modal(terms.TMeet, node, gamma, s)
         elif isinstance(node, (lmu.Mu, lmu.Nu)):
-            result = expand(binders.index_of[node.var], gamma, s)
+            result = expand(number[node.var], gamma, s)
             if evaluator is not None and not node.free and node is not phi:
                 if isinstance(result, terms.Term):  # a stratum: keep its value
                     result = evaluator.value(result, {})
@@ -317,11 +294,13 @@ def translate_all(
         memo[key] = result
         return result
 
-    per_state = {}
+    per_state: dict[str, Folded] = {}
     try:
         for state in targets:
             result = walk(phi, _CLOSED, state)
-            per_state[state] = result if isinstance(result, terms.Term) else terms.tconst(result)
+            if evaluator is None and not isinstance(result, terms.Term):
+                result = terms.tconst(result)
+            per_state[state] = result
     finally:
         walk = None  # break the cycles, all through `walk`: the memo is freed on exit
     return per_state

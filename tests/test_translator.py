@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,16 +9,11 @@ from hypothesis import strategies as st
 from generators import rand_interp, rand_lmu, rand_model, rand_model_exact, term_dag
 from lmucheck import lmu, terms
 from lmucheck.checking import model_check_lmu
-from lmucheck.evaluator import eval_term
+from lmucheck.evaluator import TermEvaluator, eval_term
 from lmucheck.model import parse_model
 from lmucheck.oracle import direct_value, kleene_lmu
 from lmucheck.parser import parse_lmu
-from lmucheck.translator import (
-    TranslationError,
-    index_binders,
-    term_var,
-    translate_all,
-)
+from lmucheck.translator import TranslationError, term_var, translate_all
 
 F = Fraction
 
@@ -28,15 +24,48 @@ trans s0 -> { s0: 1/2, s1: 1/2 }
 """
 
 
-def test_index_binders_requires_distinct():
-    phi = parse_lmu("mu X. (X \\/ mu X. X)")
-    with pytest.raises(TranslationError, match="distinct"):
-        index_binders(phi)
+def binder_names(phi: lmu.Lmu) -> list[str]:
+    return [n.var for n in lmu.subformulas(phi) if isinstance(n, (lmu.Mu, lmu.Nu))]
+
+
+def test_normalized_binders_are_apart():
+    # the translator numbers binders by name and relies on this alone: after
+    # normalization, binder names are pairwise distinct and differ from
+    # every proposition and free name, and node classes keep their pre-order
+    formulas = [
+        parse_lmu(text)
+        for text in (
+            "mu X. (X \\/ mu X. X)",
+            "nu X. (<>(mu X. X) /\\ X)",
+            "mu X. mu Y. (X \\/ nu X. (Y /\\ X))",
+            "mu X. X \\/ mu X. X",
+            # a proposition and a free variable named like normalized binders
+            "mu X. (X_1 \\/ <>X) /\\ nu X_1. (X_2 (+) X_1)",
+        )
+    ]
+    rng = random.Random(19)
+    for _ in range(200):
+        # the free X_1 and the proposition X_2 take names normalization
+        # would otherwise pick; folding the distinct V1, V2, ... onto V0 and
+        # V1 makes binders shadow each other
+        phi = rand_lmu(rng, depth=rng.randint(0, 5), env=("X_1",), props=("P1", "X_2"))
+        shadowed = re.sub(r"V(\d+)", lambda v: f"V{int(v[1]) % 2}", lmu.render_lmu(phi))
+        formulas += [phi, parse_lmu(shadowed)]
+    for phi in formulas:
+        normalized = lmu.normalize_binders(phi)
+        names = binder_names(normalized)
+        assert len(set(names)) == len(names), phi
+        assert not set(names) & (lmu.propositions(phi) | set(phi.free)), phi
+        assert normalized.free == phi.free
+        assert [type(n) for n in lmu.subformulas(normalized)] == [
+            type(n) for n in lmu.subformulas(phi)
+        ]
 
 
 def test_constants_take_no_binder_number():
+    # the literals `1` and `0` are leaves, not fixed points
     phi = lmu.normalize_binders(parse_lmu("mu X. (1/2*1 \\/ <>X) /\\ 0"))
-    assert index_binders(phi).kinds == ("mu",)
+    assert binder_names(phi) == ["X_1"]
 
 
 def test_translate_diamond_expectation():
@@ -319,8 +348,8 @@ def test_folded_values_within_kleene_bounds_on_random_corpus():
 
 def test_constants_fold_to_values_not_nodes(monkeypatch):
     # a fixed-point-free formula folds to a constant at every state; the
-    # walk keeps those constants as values, so the only constant nodes built
-    # are the per-state results
+    # walk keeps those constants as values, so without an evaluator the only
+    # constant nodes built are the per-state results
     rng = random.Random(41)
     m = rand_model_exact(rng, 200, n_dists=2, max_support=3)
     interp = rand_interp(rng, m)
@@ -332,6 +361,12 @@ def test_constants_fold_to_values_not_nodes(monkeypatch):
     assert len(built) <= len(m.states)
     expected = direct_value(phi, m, interp)
     assert per_state == {s: tconst(expected[s]) for s in m.states}
+    # a check gets every decided state back as its value: no constant node
+    # and no evaluation
+    built.clear()
+    monkeypatch.setattr(TermEvaluator, "value", lambda *args: pytest.fail("the evaluator ran"))
+    assert model_check_lmu(phi, m, interp).values == expected
+    assert built == []
 
 
 # s loops back to itself between deadlocked successors that labels decide:
