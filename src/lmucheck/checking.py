@@ -6,8 +6,14 @@ proper closed fixed point (in PCTL encodings, every inner `P`, `E` and `A`
 operator) at each state where it reaches one, innermost first, and keeps
 the value in its memo, where the enclosing formula folds it like a label.
 A closed subformula means the same in every environment, so no value
-changes. The walk hands back a state that constants decide as its value;
-the same evaluator then evaluates the root term of each other state.
+changes. The walk evaluates each state's root term as soon as it has built
+it, and the terms of the states after it read each closed fixed point
+already solved at a state as that value instead of unfolding it again
+(Bekič's lemma: a solved component of a fixed point may stand in for
+itself). So the loop count depends on the order of the requested states;
+the values do not. The walk hands back a state that constants decide as
+its value and every other state as its term, whose value the same
+evaluator then reads from its cache.
 
 A PCTL check encodes the formula and checks the encoding. Its only extra
 precondition is a boolean valuation, which it tests on the labels alone;

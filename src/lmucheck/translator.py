@@ -59,10 +59,23 @@ binder (`mu`/`nu` with no free variable, other than the root) at each state
 it reaches, and keeps the value in the memo under (node, {}, state). The
 enclosing formula folds that value like a label, as a state-labelling
 checker does with a nested `P` operator; a closed subformula means the same
-in every context, so no value changes. A state that constants decide
-comes back as its value; the walk never evaluates a root term, which is
-left to the check. Without an evaluator, as in `translate`, the walk builds
-the whole unstratified term, the reference object.
+in every context, so no value changes. The walk evaluates each root term
+too, as soon as it is built, and keeps the value under (root, {}, state).
+A state that constants decide comes back as its value, every other state
+as its term. Without an evaluator, as in `translate`, the walk builds the
+whole unstratified term, the reference object.
+
+Solved binders: given an evaluator, a variable of a closed binder (the
+root or a stratum) met at a state t outside the context is read as that
+binder's value at t, once the memo keeps one, instead of re-expanding the
+binder. For `mu` (dual for `nu`), let V be the least fixed point of
+x = F(x) and pin x_S := V_S. V_R is a fixed point of the reduced system, so
+its least one W has W <= V_R; (V_S, W) is a pre-fixed point of F, so
+V <= (V_S, W), that is V_R <= W. So no value changes. Every open memo
+entry from expanding binder i at t holds (i, t) in its key, and a walk that
+reads t's value never opens (i, t), so read and expanded results never
+share a key. What is read depends on which states were solved first, so
+loop counts depend on the order of the requested states; values do not.
 
 Short-circuit: when the left operand of `\\/`/`(+)` folds to 1, or that of
 `/\\`/`(.)` to 0, or a formula scalar is 0, the other operand is not walked,
@@ -120,8 +133,11 @@ def translate_all(
     an `evaluator`, a decided state's term is the constant `q*1`. With one,
     as in a check, each proper closed fixed point is evaluated where the
     walk reaches it and stands in the terms as its value, and a decided
-    state comes back as its value, a `Fraction`, leaving only the states
-    that stay terms to evaluate.
+    state comes back as its value, a `Fraction`. Every other state comes
+    back as its term, already evaluated once by `evaluator`, whose region
+    cache then answers for it without a loop. A later state's term holds
+    a closed binder's value, not its expansion, at every state where that
+    binder was solved before it.
     """
     targets = m.states if states is None else states
     for state in targets:
@@ -261,7 +277,10 @@ def translate_all(
             if (i, s) in gamma:
                 result: Folded = terms.TVar(term_var(i, s))
             else:
-                result = expand(i, gamma, s)
+                # a closed binder already solved at s is read as its value;
+                # without an evaluator the walk keeps the reference terms
+                solved = memo.get((binders[i - 1], _CLOSED, s)) if evaluator is not None else None
+                result = solved if isinstance(solved, Fraction) else expand(i, gamma, s)
         elif isinstance(node, lmu.Const):
             result = node.value
         elif isinstance(node, lmu.Prop):
@@ -300,6 +319,8 @@ def translate_all(
             result = walk(phi, _CLOSED, state)
             if evaluator is None and not isinstance(result, terms.Term):
                 result = terms.tconst(result)
+            elif evaluator is not None and isinstance(result, terms.Term):
+                memo[phi, _CLOSED, state] = evaluator.value(result, {})  # solved at state
             per_state[state] = result
     finally:
         walk = None  # break the cycles, all through `walk`: the memo is freed on exit

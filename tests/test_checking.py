@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from generators import rand_interp, rand_lmu, rand_model
+from generators import rand_bool_interp, rand_interp, rand_lmu, rand_model, rand_model_exact
 from lmucheck import lmu, pctl, terms
 from lmucheck.checking import model_check_lmu, model_check_pctl
 from lmucheck.encoder import encode_pctl
@@ -18,6 +18,7 @@ from lmucheck.translator import TranslationError, translate_all
 
 CONNECTIVES = [lmu.Join, lmu.Meet, lmu.OPlus, lmu.OTimes]
 MODALITIES = [lmu.Diamond, lmu.Box]
+LITERALS = [lmu.Prop("P1"), lmu.CoProp("P1"), lmu.Prop("P2"), lmu.CoProp("P2")]
 
 
 def fixed_point(rng: random.Random, var: str, other: lmu.Lmu) -> lmu.Lmu:
@@ -30,8 +31,7 @@ def fixed_point(rng: random.Random, var: str, other: lmu.Lmu) -> lmu.Lmu:
 def nested_closed_fixed_points(rng: random.Random) -> lmu.Lmu:
     """A fixed point whose body puts closed fixed points under a modality
     and under a connective; one of the inner binders may shadow the outer."""
-    literals = [lmu.Prop("P1"), lmu.CoProp("P1"), lmu.Prop("P2"), lmu.CoProp("P2")]
-    inner = [fixed_point(rng, v, rng.choice(literals)) for v in rng.sample("ZWV", 2)]
+    inner = [fixed_point(rng, v, rng.choice(LITERALS)) for v in rng.sample("ZWV", 2)]
     other = rng.choice(CONNECTIVES)(rng.choice(MODALITIES)(inner[0]), inner[1])
     return fixed_point(rng, "Z", other)
 
@@ -51,6 +51,57 @@ def test_shared_evaluation_matches_isolated_evaluation():
             assert shared[s] == reference
             # one requested state: strata are evaluated only where reached
             assert model_check_lmu(phi, m, interp, states=(s,)).values == {s: reference}
+
+
+def chain(rng: random.Random, names: str) -> lmu.Lmu:
+    """`mu X. B`, `nu Y. mu X. B` or `mu Z. nu Y. mu X. B` for the names
+    "X", "YX" or "ZYX": B joins a literal with `literal /\\ M v` or
+    `literal (.) M v`, M a modality, for every chain variable v."""
+    body = rng.choice(LITERALS)
+    for v in names:
+        step = rng.choice(MODALITIES)(lmu.Var(v))
+        part = rng.choice((lmu.Meet, lmu.OTimes))(rng.choice(LITERALS), step)
+        body = rng.choice((lmu.Join, lmu.OPlus))(body, part)
+    for v in reversed(names):
+        body = (lmu.Mu if v in "XZ" else lmu.Nu)(v, body)
+    return body
+
+
+def until(rng: random.Random, left: pctl.PctlState, right: pctl.PctlState) -> pctl.PctlState:
+    """`E`, `A`, `Pmax` or `Pmin` of `left U right`."""
+    path = pctl.Until(left, right)
+    pick = rng.randrange(4)
+    if pick < 2:
+        return (pctl.Exists, pctl.Forall)[pick](path)
+    bound = Fraction(rng.randint(1, 3), 4)
+    return (pctl.ProbExists, pctl.ProbForall)[pick - 2](rng.random() < 0.5, bound, path)
+
+
+def test_solved_fixed_points_keep_every_value():
+    # a check reads each closed fixed point it has solved at a state as
+    # that value wherever a later state's term would re-expand it, so what
+    # it reuses depends on the order of the requested states; in every
+    # order the values must be those of the unstratified per-state terms.
+    # The sizes keep the reference, which re-expands everything, cheap.
+    rng = random.Random("solved fixed points")
+    corpus = []
+    shapes = (("X", (3, 4), 2, 6), ("YX", (3, 4), 1, 6), ("ZYX", (3,), 1, 4))
+    for names, sizes, n_dists, cases in shapes:
+        for _ in range(cases):
+            m = rand_model_exact(rng, rng.choice(sizes), n_dists=n_dists)
+            corpus.append((chain(rng, names), m, rand_interp(rng, m)))
+    p1, p2 = pctl.Prop("P1"), pctl.Prop("P2")
+    for _ in range(6):
+        m = rand_model_exact(rng, rng.choice((3, 4)))
+        inner = until(rng, p1, p2)
+        phi = until(rng, p1, inner) if rng.random() < 0.5 else until(rng, inner, p2)
+        corpus.append((encode_pctl(phi), m, rand_bool_interp(rng, m)))
+    for phi, m, interp in corpus:
+        reference = {s: eval_term(t, {}).value for s, t in translate_all(phi, m, interp).items()}
+        assert model_check_lmu(phi, m, interp).values == reference
+        for order in (m.states[::-1], *((s,) for s in m.states)):
+            values = model_check_lmu(phi, m, interp, order).values
+            assert list(values.items()) == [(s, reference[s]) for s in order]
 
 
 def test_strata_are_evaluated_only_where_reached(monkeypatch):

@@ -130,6 +130,12 @@ def test_golden_cli_outputs(tmp_path):
         if case["model"] is not None:
             model_path.write_text(case["model"], encoding="utf-8")
         code, out = run_case(case, str(model_path))
+        if code == 0 and "--json" in case["argv"]:
+            # values first, so a failure says whether they moved or only
+            # the loop counts did
+            got, pinned = json.loads(out), json.loads(case["stdout"])
+            assert got["formula"] == pinned["formula"], ("formula", case["argv"])
+            assert got["results"] == pinned["results"], ("values", case["argv"])
         assert (code, out) == (0, case["stdout"]), case["argv"]
 
 
