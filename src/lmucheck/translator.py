@@ -62,8 +62,12 @@ checker does with a nested `P` operator; a closed subformula means the same
 in every context, so no value changes. The walk evaluates each root term
 too, as soon as it is built, and keeps the value under (root, {}, state).
 A state that constants decide comes back as its value, every other state
-as its term. Without an evaluator, as in `translate`, the walk builds the
-whole unstratified term, the reference object.
+as its term. A proper closed binder in the boolean fragment is decided by
+`BooleanFragment` as a set instead and folds as 1 or 0 at each state: its
+iterates on sets are 0/1 vectors that stay below (above, for `nu`) every
+fixed point over [0, 1]^S and settle within |S| steps, so they end at its
+value. Without an evaluator, as in `translate`, the walk builds the whole
+unstratified term, the reference object.
 
 Solved binders: given an evaluator, a variable of a closed binder (the
 root or a stratum) met at a state t outside the context is read as that
@@ -93,7 +97,7 @@ from . import lmu, terms
 from .evaluator import TermEvaluator
 from .model import Interpretation, Pnts
 
-__all__ = ["TranslationError", "term_var", "translate_all"]
+__all__ = ["BooleanFragment", "TranslationError", "term_var", "translate_all"]
 
 
 _ONE, _ZERO = Fraction(1), Fraction(0)
@@ -114,6 +118,148 @@ class TranslationError(ValueError):
 
 def term_var(i: int, state: str) -> str:
     return f"x_{i}@{state}"
+
+
+class _Outside(Exception):
+    """The node being decided lies outside the boolean fragment."""
+
+
+class BooleanFragment:
+    """Decides closed formulas of the boolean fragment over one model and
+    interpretation as state sets: `states(phi)` is the set of states where
+    phi is 1 (it is 0 elsewhere), or None for a formula outside the fragment.
+
+    The fragment holds propositions and complements whose labels are 0 or 1
+    at every state, `0`, `1`, variables, `\\/`, `/\\`, `mu`/`nu` over a
+    fragment body, and the threshold macros `mu X. (X (+) psi)` = [psi > 0]
+    and `nu X. (X (.) psi)` = [psi = 1] with X not free in psi, where psi is
+    `<>phi`, `[]phi` or a fragment formula, or a `\\/`/`/\\` of these, and phi
+    is in the fragment. With phi the set A, `<>phi > 0` holds where some
+    distribution's support meets A and `<>phi = 1` where some support lies
+    inside A; `[]` reads "every" for "some", so a deadlock gives 0 under
+    `<>` and 1 under `[]`; `max` and `min` split into `or` and `and` of the
+    two sides. A binder iterates its body on sets from the empty set (the
+    full one for `nu`). Every rule is monotone and maps 0/1 vectors to 0/1
+    vectors, so the iterates are 0/1, rise (fall for `nu`), settle within
+    |S| steps, and stay below (above) every fixed point over [0, 1]^S: they
+    end at the least (greatest) one, the formula's value. Sets are kept as
+    bit masks over the states' positions; a closed node's mask is the same
+    in every environment, so it is computed once.
+    """
+
+    def __init__(self, m: Pnts, interp: Interpretation) -> None:
+        self.m, self.interp = m, interp
+        self.full = (1 << len(m.states)) - 1
+        self.labels: dict[str, int] = {}  # boolean proposition -> its mask
+        # (state's bit, support mask) per distribution, built on first use
+        self.supports: list[tuple[int, int]] | None = None
+        self.closed: dict[lmu.Lmu, int] = {}
+        self.decided: dict[lmu.Lmu, frozenset[str] | None] = {}
+
+    def states(self, phi: lmu.Lmu) -> frozenset[str] | None:
+        """The states where the closed formula phi is 1, or None outside the fragment."""
+        if phi in self.decided:
+            return self.decided[phi]
+        try:
+            mask = self._value(phi, {})
+        except _Outside:
+            result = None
+        else:
+            result = frozenset(s for i, s in enumerate(self.m.states) if mask >> i & 1)
+        self.decided[phi] = result
+        return result
+
+    def _label(self, name: str) -> int:
+        mask = self.labels.get(name)
+        if mask is None:
+            mask = 0
+            for i, s in enumerate(self.m.states):
+                v = self.interp.value(name, s)  # a rational in [0, 1]
+                if v.denominator != 1:
+                    raise _Outside
+                if v.numerator:
+                    mask |= 1 << i
+            self.labels[name] = mask
+        return mask
+
+    def _step(self, node: lmu.Diamond | lmu.Box, env: dict[str, int], positive: bool) -> int:
+        """`[M phi > 0]` (`positive`) or `[M phi = 1]`, M the node's modality."""
+        supports = self.supports
+        if supports is None:
+            m = self.m
+            supports = self.supports = [
+                (1 << i, sum(1 << m.index[t] for t, _ in d.entries))
+                for i, s in enumerate(m.states)
+                for d in m.distributions(s)
+            ]
+        inner = self._value(node.body, env)
+        if type(node) is lmu.Diamond:  # some distribution hits
+            out = 0
+            for bit, d in supports:
+                if (d & inner if positive else d & inner == d):
+                    out |= bit
+        else:  # every distribution hits: drop a state one misses
+            out = self.full
+            for bit, d in supports:
+                if not (d & inner if positive else d & inner == d):
+                    out &= ~bit
+        return out
+
+    def _threshold(self, psi: lmu.Lmu, env: dict[str, int], positive: bool) -> int:
+        """`[psi > 0]` (`positive`) or `[psi = 1]`."""
+        kind = type(psi)
+        if kind is lmu.Diamond or kind is lmu.Box:
+            return self._step(psi, env, positive)
+        if kind is lmu.Join:
+            return self._threshold(psi.left, env, positive) | self._threshold(psi.right, env, positive)
+        if kind is lmu.Meet:
+            return self._threshold(psi.left, env, positive) & self._threshold(psi.right, env, positive)
+        return self._value(psi, env)
+
+    def _value(self, node: lmu.Lmu, env: dict[str, int]) -> int:
+        if not node.free:
+            hit = self.closed.get(node)
+            if hit is not None:
+                return hit
+        kind = type(node)
+        if kind is lmu.Var:
+            if node.name not in env:
+                raise _Outside  # free in the formula decided
+            return env[node.name]
+        if kind is lmu.Prop:
+            result = self._label(node.name)
+        elif kind is lmu.CoProp:
+            result = self.full ^ self._label(node.name)
+        elif kind is lmu.Const:
+            result = self.full if node.value else 0
+        elif kind is lmu.Join:
+            result = self._value(node.left, env) | self._value(node.right, env)
+        elif kind is lmu.Meet:
+            result = self._value(node.left, env) & self._value(node.right, env)
+        elif kind is lmu.Mu or kind is lmu.Nu:
+            is_mu = kind is lmu.Mu
+            body, var = node.body, node.var
+            psi = None
+            if type(body) is (lmu.OPlus if is_mu else lmu.OTimes):
+                left, right = body.left, body.right
+                if type(left) is lmu.Var and left.name == var:
+                    psi = right
+                elif type(right) is lmu.Var and right.name == var:
+                    psi = left
+            if psi is not None and var not in psi.free:
+                result = self._threshold(psi, env, is_mu)
+            else:
+                result = 0 if is_mu else self.full
+                while True:
+                    nxt = self._value(body, {**env, var: result})
+                    if nxt == result:
+                        break
+                    result = nxt
+        else:
+            raise _Outside
+        if not node.free:
+            self.closed[node] = result
+        return result
 
 
 def translate_all(
@@ -205,6 +351,7 @@ def translate_all(
         return cls(var, body)
 
     memo: dict[tuple[lmu.Lmu, frozenset[tuple[int, str]], str], Folded] = {}
+    fragment = BooleanFragment(m, interp) if evaluator is not None else None
     steps = [0]
 
     def expand(i: int, gamma: frozenset[tuple[int, str]], s: str) -> Folded:
@@ -304,9 +451,13 @@ def translate_all(
         elif isinstance(node, lmu.Box):
             result = modal(terms.TMeet, node, gamma, s)
         elif isinstance(node, (lmu.Mu, lmu.Nu)):
-            result = expand(number[node.var], gamma, s)
-            if evaluator is not None and not node.free and node is not phi:
-                if isinstance(result, terms.Term):  # a stratum: keep its value
+            stratum = fragment is not None and not node.free and node is not phi
+            decided = fragment.states(node) if stratum else None
+            if decided is not None:  # a boolean stratum, decided as a set
+                result = _ONE if s in decided else _ZERO
+            else:
+                result = expand(number[node.var], gamma, s)
+                if stratum and isinstance(result, terms.Term):  # a stratum: keep its value
                     result = evaluator.value(result, {})
         else:
             raise TypeError(f"not a formula: {node!r}")

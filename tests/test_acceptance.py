@@ -190,6 +190,42 @@ def test_nested_pctl_on_sparse_labels():
         sys.setrecursionlimit(limit)
 
 
+def test_qualitative_until_on_sparse_labels():
+    """`E`/`A [P1 U P2]`, `E [P1 U A [P1 U P2]]` and `Pmin>=1/2 [P1 U E [P1
+    U P2]]` at 32 and 64 states, seeds 1-4, labels drawn as in
+    `test_nested_pctl_on_sparse_labels`, through the library API at the
+    interpreter's default recursion limit. The qualitative operators are
+    decided as state sets, at the root or where the walk reaches them; on
+    the term route alone a sparse `E [P1 U P2]` at 32 states unfolds along
+    the model's simple paths for tens of seconds."""
+    until = pctl.Until(pctl.Prop("P1"), pctl.Prop("P2"))
+    formulas = [
+        pctl.Exists(until),
+        pctl.Forall(until),
+        pctl.Exists(pctl.Until(pctl.Prop("P1"), pctl.Forall(until))),
+        pctl.ProbForall(False, F(1, 2), pctl.Until(pctl.Prop("P1"), pctl.Exists(until))),
+    ]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter default; conftest raises it
+    try:
+        with criterion("qualitative until on sparse labels", 10.0):
+            for n in (32, 64):
+                for seed in (1, 2, 3, 4):
+                    rng = random.Random(seed)
+                    m = rand_model_exact(rng, n)
+                    interp = Interpretation({
+                        "P1": {s: F(rng.random() < 0.75) for s in m.states},
+                        "P2": {s: F(rng.random() < 0.15) for s in m.states},
+                    })
+                    for phi in formulas:
+                        pipeline = model_check_pctl(phi, m, interp).values
+                        verdict = pctl_oracle(phi, m, interp)
+                        for s in m.states:
+                            assert pipeline[s] == (F(1) if verdict[s] else F(0)), (n, seed, s)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_fixed_point_free_translation_matches_direct_semantics():
     rng = random.Random(4242)
     with criterion("fixed-point-free translation", 60.0):

@@ -14,7 +14,7 @@ from lmucheck.evaluator import TermEvaluator, eval_term
 from lmucheck.model import Distribution, Interpretation, Pnts, parse_model, validate_model
 from lmucheck.oracle import OracleError, kleene_lmu, kleene_term, pctl_oracle
 from lmucheck.parser import parse_lmu, parse_pctl, parse_term
-from lmucheck.translator import TranslationError, translate_all
+from lmucheck.translator import BooleanFragment, TranslationError, translate_all
 
 CONNECTIVES = [lmu.Join, lmu.Meet, lmu.OPlus, lmu.OTimes]
 MODALITIES = [lmu.Diamond, lmu.Box]
@@ -102,6 +102,138 @@ def test_solved_fixed_points_keep_every_value():
         for order in (m.states[::-1], *((s,) for s in m.states)):
             values = model_check_lmu(phi, m, interp, order).values
             assert list(values.items()) == [(s, reference[s]) for s in order]
+
+
+def qualitative(rng: random.Random, depth: int) -> pctl.PctlState:
+    """A random PCTL formula of `E`/`A` next and until, `!` and `|`."""
+    if depth == 0:
+        return rng.choice((pctl.TRUE, pctl.Prop("P1"), pctl.Prop("P2")))
+    pick = rng.randrange(4)
+    if pick == 0:
+        return pctl.Not(qualitative(rng, depth - 1))
+    if pick == 1:
+        return pctl.Or(qualitative(rng, depth - 1), qualitative(rng, depth - 1))
+    if rng.random() < 0.4:
+        path = pctl.Next(qualitative(rng, depth - 1))
+    else:
+        path = pctl.Until(qualitative(rng, depth - 1), qualitative(rng, depth - 1))
+    return (pctl.Exists, pctl.Forall)[pick - 2](path)
+
+
+def probabilistic(rng: random.Random) -> pctl.PctlState:
+    """`Pmax`/`Pmin` of next or until over qualitative operands, alone or as
+    the goal of an `E`/`A` until."""
+    if rng.random() < 0.3:
+        path = pctl.Next(qualitative(rng, 1))
+    else:
+        path = pctl.Until(qualitative(rng, 1), qualitative(rng, 1))
+    bound = Fraction(rng.randint(1, 3), 4)
+    phi = rng.choice((pctl.ProbExists, pctl.ProbForall))(rng.random() < 0.5, bound, path)
+    if rng.random() < 0.5:
+        return phi
+    return rng.choice((pctl.Exists, pctl.Forall))(pctl.Until(qualitative(rng, 0), phi))
+
+
+# boolean-fragment formulas: alternation, thresholds with the variable on
+# either side, `\/`/`/\` of steps under a threshold, constants, a closed
+# binder under a step
+FRAGMENT = [
+    "nu Y. mu X. ((P1 /\\ mu Z. (Z (+) <>Y)) \\/ mu W. (W (+) []X))",
+    "mu X. (P2 \\/ (P1 /\\ nu Z. (Z (.) []X)))",
+    "nu X. (~P2 /\\ mu Z. (<>X (+) Z))",
+    "mu X. (P1 \\/ mu Z. (Z (+) ([]X /\\ <>1)))",
+    "nu Y. (P1 /\\ nu Z. (Z (.) (<>Y \\/ []P2)))",
+    "mu X. (0 \\/ (1 /\\ nu Z. (Z (.) <>(P2 \\/ X))))",
+    "nu X. mu Y. ((~P1 /\\ mu Z. (Z (+) []Y)) \\/ (P2 /\\ nu V. (V (.) <>X)))",
+    "mu X. (P2 \\/ mu Z. (Z (+) <>(X /\\ nu Y. (~P1 \\/ nu V. (V (.) []Y)))))",
+]
+# formulas outside the fragment around fragment binders, closed or open
+MIXED = [
+    "mu X. (P1 (+) 1/2*mu Z. (Z (+) <>X))",
+    "nu X. (P2 (.) nu Z. (Z (.) []X))",
+    "nu Y. (P2 /\\ mu X. (X (+) []Y)) (+) 1/4*1",
+]
+
+
+def test_boolean_fragment_matches_every_route():
+    # a check decides a boolean-fragment formula as a state set and runs
+    # no loop, at the root or at a closed binder the walk reaches; its
+    # values must be those of the unstratified per-state terms, of Kleene
+    # iteration where the root is decided and, for PCTL, of the oracle. One
+    # state of each model is a deadlock, where `<>` is 0 and `[]` is 1.
+    rng = random.Random("boolean fragment")
+    corpus = [(parse_lmu(text), None) for text in FRAGMENT + MIXED]
+    qualitatives = (qualitative(rng, rng.choice((2, 3))) for _ in range(60))
+    corpus += [(encode_pctl(phi), phi) for phi in qualitatives]
+    corpus += [(encode_pctl(phi), phi) for phi in (probabilistic(rng) for _ in range(24))]
+    decided_roots = 0
+    for phi, source in corpus:
+        m = rand_model_exact(rng, rng.choice((3, 4)), n_dists=rng.choice((1, 2)))
+        dead = rng.choice(m.states)
+        m = Pnts(m.states, {s: d for s, d in m.transitions.items() if s != dead})
+        interp = rand_bool_interp(rng, m)
+        decided = BooleanFragment(m, interp).states(phi)
+        out = model_check_lmu(phi, m, interp)
+        reference = {s: eval_term(t, {}).value for s, t in translate_all(phi, m, interp).items()}
+        assert out.values == reference, lmu.render_lmu(phi)
+        if decided is not None:
+            decided_roots += 1
+            assert out.iterations == 0
+            assert decided == {s for s, v in reference.items() if v == 1}
+            kleene = kleene_lmu(phi, m, interp)
+            assert kleene.stabilized and kleene.value == reference
+        if source is not None:
+            verdict = pctl_oracle(source, m, interp)
+            assert reference == {s: Fraction(verdict[s]) for s in m.states}
+    # every qualitative formula, and nothing with a probability bound or a
+    # fractional scalar, is in the fragment
+    assert decided_roots == len(FRAGMENT) + 60
+
+
+def test_fractional_labels_keep_the_term_route():
+    # the fragment takes a proposition only where its labels are 0 or 1 at
+    # every state: an `E`-until shape with a fractional goal goes through
+    # the term route and runs loops, while a fractional proposition outside
+    # a closed fragment binder leaves that binder to the pass
+    m, interp = parse_model(
+        "state s0 s1 s2\n"
+        "prop P1 = { s0: 1, s1: 1 }\n"
+        "prop G = { s2: 1 }\n"
+        "prop H = { s2: 1/2 }\n"
+        "prop Q = { s0: 1/3, s2: 2/3 }\n"
+        "trans s0 -> { s0: 1/2, s1: 1/2 }\n"
+        "trans s1 -> { s0: 1/2, s2: 1/2 }\n"
+        "trans s2 -> { s2: 1 }\n"
+    )
+    until = "mu T. ({} \\/ (P1 /\\ mu X. (X (+) <>T)))"
+    for text, loops in ((until.format("H"), True), ("Q \\/ " + until.format("G"), False)):
+        phi = parse_lmu(text)
+        assert BooleanFragment(m, interp).states(phi) is None
+        out = model_check_lmu(phi, m, interp)
+        reference = {s: eval_term(t, {}).value for s, t in translate_all(phi, m, interp).items()}
+        assert out.values == reference
+        assert (out.iterations > 0) == loops, text
+
+
+def test_open_binders_are_never_read_as_solved():
+    # only a closed binder's value may stand in for it: the inner binders
+    # of `nu mu` and `mu nu mu` chains read the outer variables, so their
+    # value at a state depends on where they are expanded. Pinning such a
+    # value as if closed gives a wrong value in a few percent of 3-state
+    # chains, so the corpus is sized to hold several (one successor per
+    # state keeps the unstratified reference cheap). Each check, in every
+    # order of the requested states for `nu mu`, must equal the
+    # unstratified per-state terms
+    rng = random.Random("open binders")
+    for names, cases, orders in (("YX", 150, True), ("ZYX", 20, False)):
+        for _ in range(cases):
+            m = rand_model_exact(rng, 3, n_dists=1, max_support=1)
+            phi, interp = chain(rng, names), rand_interp(rng, m)
+            reference = {s: eval_term(t, {}).value for s, t in translate_all(phi, m, interp).items()}
+            assert model_check_lmu(phi, m, interp).values == reference
+            for order in (m.states[::-1], *((s,) for s in m.states)) if orders else ():
+                values = model_check_lmu(phi, m, interp, order).values
+                assert list(values.items()) == [(s, reference[s]) for s in order]
 
 
 def test_strata_are_evaluated_only_where_reached(monkeypatch):

@@ -407,9 +407,11 @@ trans s2 -> { s2: 1 }
         ("A X P1", False),
         ("Pmax>=1/2 [X P1]", False),
         ("Pmin>1/3 [X P1]", False),
-        # the threshold inside the until reads the until's variable: it keeps
-        # its binder and the loop runs
-        ("E [P1 U P2]", True),
+        # a qualitative until on boolean labels is decided as a state set,
+        # with no loop
+        ("E [P1 U P2]", False),
+        # a probabilistic until keeps its binder and the loop runs
+        ("Pmax>=1/2 [P1 U P2]", True),
     ],
 )
 def test_threshold_loops_run_only_over_undecided_arguments(capsys, tmp_path, formula, loops):
