@@ -54,23 +54,22 @@ term denotes a value in [0, 1], which makes each rule exact:
   product of denominators, and makes one `Fraction` when an undecided piece
   ends the run; the value is the same as adding them one by one.
 
-Strata: given an evaluator, the walk also evaluates each proper closed
-binder (`mu`/`nu` with no free variable, other than the root) at each state
-it reaches, and keeps the value in the memo under (node, {}, state). The
-enclosing formula folds that value like a label, as a state-labelling
-checker does with a nested `P` operator; a closed subformula means the same
-in every context, so no value changes. The walk evaluates each root term
-too, as soon as it is built, and keeps the value under (root, {}, state).
-A state that constants decide comes back as its value, every other state
-as its term. A proper closed binder in the boolean fragment is decided by
-`BooleanFragment` as a set instead and folds as 1 or 0 at each state: its
-iterates on sets are 0/1 vectors that stay below (above, for `nu`) every
-fixed point over [0, 1]^S and settle within |S| steps, so they end at its
-value. Without an evaluator, as in `translate`, the walk builds the whole
+Strata: given an evaluator, as in a check, the walk solves each closed
+binder (`mu`/`nu` with no free variable), the root included, at each state
+it reaches, by one rule. A binder in the boolean fragment is decided by
+`BooleanFragment` as a set and folds as 1 or 0 at each state: its iterates
+on sets are 0/1 vectors that stay below (above, for `nu`) every fixed point
+over [0, 1]^S and settle within |S| steps, so they end at its value. Any
+other is expanded and its term evaluated. The value is kept in the memo
+under (node, {}, state), and the enclosing formula folds it like a label,
+as a state-labelling checker does with a nested `P` operator; a closed
+subformula means the same in every context, so no value changes. A root in
+the fragment is decided before the binders are renamed, with no walk.
+Without an evaluator, as in `translate`, the walk builds the whole
 unstratified term, the reference object.
 
-Solved binders: given an evaluator, a variable of a closed binder (the
-root or a stratum) met at a state t outside the context is read as that
+Solved binders: given an evaluator, a variable of a closed binder, the
+root included, met at a state t outside the context is read as that
 binder's value at t, once the memo keeps one, instead of re-expanding the
 binder. For `mu` (dual for `nu`), let V be the least fixed point of
 x = F(x) and pin x_S := V_S. V_R is a fixed point of the reduced system, so
@@ -94,7 +93,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import lmu, terms
-from .evaluator import TermEvaluator
+from .evaluator import InternalInvariantError, TermEvaluator
 from .model import Interpretation, Pnts
 
 __all__ = ["BooleanFragment", "TranslationError", "term_var", "translate_all"]
@@ -262,6 +261,67 @@ class BooleanFragment:
         return result
 
 
+# Constant folding, by the rules in the module docstring: a decided subterm
+# is its value, a `Fraction`; a term node is built only where a constant
+# meets an undecided operand.
+# connective -> (absorbing value, neutral value, value of two constants);
+# values are compared with ints, which `Fraction` compares fastest
+_RULES = {
+    terms.TJoin: (1, 0, max),
+    terms.TMeet: (0, 1, min),
+    terms.TOPlus: (1, 0, lambda a, b: min(_ONE, a + b)),
+    terms.TOTimes: (0, 1, lambda a, b: max(_ZERO, a + b - 1)),
+}
+
+
+def combine(cls: type, left: Folded, right: Folded) -> Folded:
+    absorbing, neutral, fold = _RULES[cls]
+    if not isinstance(left, terms.Term):
+        if not isinstance(right, terms.Term):
+            return fold(left, right)
+        if left == absorbing:
+            return left
+        if left == neutral:
+            return right
+        return cls(terms.tconst(left), right)
+    if not isinstance(right, terms.Term):
+        if right == absorbing:
+            return right
+        if right == neutral:
+            return left
+        return cls(left, terms.tconst(right))
+    return cls(left, right)
+
+
+def scale(q: Fraction, body: Folded) -> Folded:
+    if q == 1:
+        return body
+    if not isinstance(body, terms.Term):
+        return q * body
+    return terms.TScalar(q, body)
+
+
+# binder -> (connective of its threshold body, the body's one fixed point)
+_THRESHOLDS = {terms.TMu: (terms.TOPlus, _ONE), terms.TNu: (terms.TOTimes, _ZERO)}
+
+
+def bind(cls: type, var: str, body: Folded) -> Folded:
+    if not isinstance(body, terms.Term) or var not in body.free:
+        return body
+    # the variable is free in the body, so a variable body, or a
+    # variable next to a closed constant, is the variable itself
+    if isinstance(body, terms.TVar):
+        return _ZERO if cls is terms.TMu else _ONE
+    connective, value = _THRESHOLDS[cls]
+    if type(body) is connective:
+        left, right = body.left, body.right
+        if (_is_constant(left) and type(right) is terms.TVar) or (
+            type(left) is terms.TVar and _is_constant(right)
+        ):
+            return value
+    return cls(var, body)
+
+
 def translate_all(
     phi: lmu.Lmu,
     m: Pnts,
@@ -271,19 +331,18 @@ def translate_all(
     max_steps: int = 1_000_000,
     evaluator: TermEvaluator | None = None,
 ) -> dict[str, Folded]:
-    """Per-state closed terms, maximally shared across states, in the order
-    of `states` (default: all, in canonical order).
+    """Each requested state's closed term, or with an `evaluator` its
+    value, in the order of `states` (default: all, in canonical order).
 
-    The per-state terms reuse identical subterm objects (one memo covers all
-    requested states), which downstream evaluation caches exploit. Without
-    an `evaluator`, a decided state's term is the constant `q*1`. With one,
-    as in a check, each proper closed fixed point is evaluated where the
-    walk reaches it and stands in the terms as its value, and a decided
-    state comes back as its value, a `Fraction`. Every other state comes
-    back as its term, already evaluated once by `evaluator`, whose region
-    cache then answers for it without a loop. A later state's term holds
-    a closed binder's value, not its expansion, at every state where that
-    binder was solved before it.
+    Without an evaluator, as in `translate`, the terms are the unstratified
+    reference terms, sharing identical subterm objects across states (one
+    memo covers all of them); a decided state's term is the constant `q*1`.
+    With one, as in a check, the walk solves every closed fixed point it
+    reaches (see "Strata" in the module docstring), so each state folds to
+    its value, a `Fraction`. A term left at a state raises
+    `InternalInvariantError`. It cannot happen: a closed `mu`/`nu` becomes a
+    `Fraction`, every other closed node has only closed children, and the
+    rules map `Fraction` operands to a `Fraction`.
     """
     targets = m.states if states is None else states
     for state in targets:
@@ -291,67 +350,16 @@ def translate_all(
             raise TranslationError(f"unknown state {state!r}")
     if phi.free:
         raise TranslationError(f"formula must be closed; free: {list(phi.free)}")
+    fragment = BooleanFragment(m, interp) if evaluator is not None else None
+    # a fragment root is decided before the renaming, which it does not need
+    decided = fragment.states(phi) if fragment is not None else None
+    if decided is not None:
+        return {s: _ONE if s in decided else _ZERO for s in targets}
     phi = lmu.normalize_binders(phi)
     binders = [n for n in lmu.subformulas(phi) if isinstance(n, (lmu.Mu, lmu.Nu))]
     number = {binder.var: i for i, binder in enumerate(binders, 1)}
 
-    # Constant folding. A decided subterm is its value, a `Fraction`; a term
-    # node is built only where a constant meets an undecided operand.
-    # connective -> (absorbing value, neutral value, value of two constants);
-    # values are compared with ints, which `Fraction` compares fastest
-    rules = {
-        terms.TJoin: (1, 0, max),
-        terms.TMeet: (0, 1, min),
-        terms.TOPlus: (1, 0, lambda a, b: min(_ONE, a + b)),
-        terms.TOTimes: (0, 1, lambda a, b: max(_ZERO, a + b - 1)),
-    }
-
-    def combine(cls: type, left: Folded, right: Folded) -> Folded:
-        absorbing, neutral, fold = rules[cls]
-        if not isinstance(left, terms.Term):
-            if not isinstance(right, terms.Term):
-                return fold(left, right)
-            if left == absorbing:
-                return left
-            if left == neutral:
-                return right
-            return cls(terms.tconst(left), right)
-        if not isinstance(right, terms.Term):
-            if right == absorbing:
-                return right
-            if right == neutral:
-                return left
-            return cls(left, terms.tconst(right))
-        return cls(left, right)
-
-    def scale(q: Fraction, body: Folded) -> Folded:
-        if q == 1:
-            return body
-        if not isinstance(body, terms.Term):
-            return q * body
-        return terms.TScalar(q, body)
-
-    # binder -> (connective of its threshold body, the body's one fixed point)
-    thresholds = {terms.TMu: (terms.TOPlus, _ONE), terms.TNu: (terms.TOTimes, _ZERO)}
-
-    def bind(cls: type, var: str, body: Folded) -> Folded:
-        if not isinstance(body, terms.Term) or var not in body.free:
-            return body
-        # the variable is free in the body, so a variable body, or a
-        # variable next to a closed constant, is the variable itself
-        if isinstance(body, terms.TVar):
-            return _ZERO if cls is terms.TMu else _ONE
-        connective, value = thresholds[cls]
-        if type(body) is connective:
-            left, right = body.left, body.right
-            if (_is_constant(left) and type(right) is terms.TVar) or (
-                type(left) is terms.TVar and _is_constant(right)
-            ):
-                return value
-        return cls(var, body)
-
     memo: dict[tuple[lmu.Lmu, frozenset[tuple[int, str]], str], Folded] = {}
-    fragment = BooleanFragment(m, interp) if evaluator is not None else None
     steps = [0]
 
     def expand(i: int, gamma: frozenset[tuple[int, str]], s: str) -> Folded:
@@ -393,7 +401,7 @@ def translate_all(
     def modal(
         cls: type, node: lmu.Diamond | lmu.Box, gamma: frozenset[tuple[int, str]], s: str
     ) -> Folded:
-        absorbing = rules[cls][0]
+        absorbing = _RULES[cls][0]
         dists = m.distributions(s)
         if not dists:  # the empty join is 0, the empty meet 1
             return _ZERO if cls is terms.TJoin else _ONE
@@ -442,7 +450,7 @@ def translate_all(
             # operand that decides it leaves the right one unwalked
             cls = type(node)
             left = walk(node.left, gamma, s)
-            if not isinstance(left, terms.Term) and left == rules[cls][0]:
+            if not isinstance(left, terms.Term) and left == _RULES[cls][0]:
                 result = left
             else:
                 result = combine(cls, left, walk(node.right, gamma, s))
@@ -451,13 +459,13 @@ def translate_all(
         elif isinstance(node, lmu.Box):
             result = modal(terms.TMeet, node, gamma, s)
         elif isinstance(node, (lmu.Mu, lmu.Nu)):
-            stratum = fragment is not None and not node.free and node is not phi
-            decided = fragment.states(node) if stratum else None
-            if decided is not None:  # a boolean stratum, decided as a set
+            solve = fragment is not None and not node.free
+            decided = fragment.states(node) if solve else None
+            if decided is not None:  # a boolean fixed point, decided as a set
                 result = _ONE if s in decided else _ZERO
             else:
                 result = expand(number[node.var], gamma, s)
-                if stratum and isinstance(result, terms.Term):  # a stratum: keep its value
+                if solve and isinstance(result, terms.Term):  # solved: keep its value
                     result = evaluator.value(result, {})
         else:
             raise TypeError(f"not a formula: {node!r}")
@@ -468,10 +476,11 @@ def translate_all(
     try:
         for state in targets:
             result = walk(phi, _CLOSED, state)
-            if evaluator is None and not isinstance(result, terms.Term):
+            if isinstance(result, terms.Term):
+                if evaluator is not None:
+                    raise InternalInvariantError(f"the check left a term at {state!r}")
+            elif evaluator is None:
                 result = terms.tconst(result)
-            elif evaluator is not None and isinstance(result, terms.Term):
-                memo[phi, _CLOSED, state] = evaluator.value(result, {})  # solved at state
             per_state[state] = result
     finally:
         walk = None  # break the cycles, all through `walk`: the memo is freed on exit

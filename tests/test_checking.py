@@ -261,6 +261,60 @@ def test_strata_are_evaluated_only_where_reached(monkeypatch):
     assert evaluated and all("@s0" in text for text in evaluated)
 
 
+def test_a_check_evaluates_each_term_once_and_returns_values(monkeypatch):
+    # the root is solved where the walk meets it, like every closed fixed
+    # point, so a check hands back values and evaluates no term twice
+    rng = random.Random("evaluated once")
+    cases = []
+    for names in ("YX", "ZYX"):
+        for _ in range(15):
+            m = rand_model_exact(rng, 3, n_dists=1, max_support=1)
+            cases.append((chain(rng, names), m, rand_interp(rng, m)))
+    m, interp = parse_model(
+        "state s0 s1 s2\n"
+        "prop P = { s0: 1/3, s2: 1/2 }\n"
+        "trans s0 -> { s0: 1/2, s1: 1/2 }\n"
+        "trans s1 -> { s2: 2/3, s1: 1/3 }\n"
+        "trans s2 -> { s0: 1 }\n"
+    )
+    cases.append((parse_lmu("mu X. (P \\/ <>X)"), m, interp))
+    evaluated = []
+    value = TermEvaluator.value
+
+    def recording_value(self, term, point):
+        evaluated.append(term)
+        return value(self, term, point)
+
+    monkeypatch.setattr(TermEvaluator, "value", recording_value)
+    total = 0
+    for phi, m, interp in cases:
+        evaluated.clear()
+        values = model_check_lmu(phi, m, interp).values
+        assert all(type(v) is Fraction for v in values.values())
+        assert len(evaluated) == len(set(evaluated)), lmu.render_lmu(phi)
+        total += len(evaluated)
+    assert evaluated and total > len(cases)
+
+
+def test_unknown_requested_states_are_refused():
+    # a root the fragment decides and a root on the term route both refuse
+    # a state the model does not have
+    m, interp = parse_model(
+        "state s0 s1\n"
+        "prop P1 = { s0: 1 }\n"
+        "prop P2 = { s1: 1 }\n"
+        "prop Q = { s1: 1/2 }\n"
+        "trans s0 -> { s0: 1/2, s1: 1/2 }\n"
+    )
+    decided = encode_pctl(parse_pctl("E [P1 U P2]"))
+    term_route = parse_lmu("mu X. (Q \\/ <>X)")
+    assert BooleanFragment(m, interp).states(decided) is not None
+    assert BooleanFragment(m, interp).states(term_route) is None
+    for phi in (decided, term_route):
+        with pytest.raises(TranslationError, match="unknown state 's9'"):
+            model_check_lmu(phi, m, interp, states=("s0", "s9"))
+
+
 def test_outcome_reports_iterations_and_requested_states():
     m, interp = parse_model(
         "state s0 s1\nprop P = { s1: 1 }\ntrans s0 -> { s0: 1/2, s1: 1/2 }"
