@@ -21,21 +21,25 @@ an inequality is tested against it with integer products only. `Fraction`
 appears only at the API boundary: the input point, and the `value` and
 `expr` (a `LinExpr`) of an `EvalResult`.
 
-A constant is its own expression under the box conditions 0 <= x <= 1 of
-the variables in scope, as a variable is; no loop runs for it. Other
-non-binder constructors combine the recursive results and record which
-branch the point selected (which side of a max/min won, whether a truncated
-sum saturated). A binder `mu x.t'` runs the approximation loop: starting
-from the constant 0 (1 for `nu`), repeatedly evaluate t' at the current
-approximation d; writing the resulting expression as q*x + rest, the
-candidate fixed point is f = rest/(1-q) when q != 1. If the body's
-conditions accept f, the loop exits with f; otherwise the first violated
-inequality (negated, with f substituted) joins the carried constraint set D
-and the approximation jumps to the tightest upper bound C places on x (the
-greatest lower bound, for `nu`). When q = 1, the loop exits with d itself
-if rest vanishes at the point, else the sign of rest drives the same
-next-approximation step. Termination is guaranteed; the iteration cap only
-guards against implementation bugs.
+(P2) needs the box 0 <= x <= 1 of every variable in scope. The box holds at
+every point the evaluator reads, so its internal condition sets leave it
+out, and only two places add it back: a loop adds its own variable's box
+where it reads bounds and substitutes, and `evaluate` adds the whole box to
+every result it returns. A constant or a variable is its own expression
+under the empty set; no loop runs for it. Other non-binder constructors
+combine the recursive results and record which branch the point selected
+(which side of a max/min won, whether a truncated sum saturated). A binder
+`mu x.t'` runs the approximation loop: starting from the constant 0 (1 for
+`nu`), repeatedly evaluate t' at the current approximation d; writing the
+resulting expression as q*x + rest, the candidate fixed point is
+f = rest/(1-q) when q != 1. If the body's conditions accept f, the loop
+exits with f; otherwise the first violated inequality (negated, with f
+substituted) joins the carried constraint set D and the approximation jumps
+to the tightest upper bound C places on x (the greatest lower bound, for
+`nu`). When q = 1, the loop exits with d itself if rest vanishes at the
+point, else the sign of rest drives the same next-approximation step.
+Termination is guaranteed; the iteration cap only guards against
+implementation bugs.
 """
 
 from __future__ import annotations
@@ -241,14 +245,16 @@ def _first_violated_sorted(
     return None
 
 
+def _slot_box(slot: int) -> tuple[Inequality, Inequality]:
+    """1 - x >= 0 and x >= 0, in canonical order: what a loop adds for its own slot."""
+    return Inequality(((slot, -1),), 1, False), Inequality(((slot, 1),), 0, False)
+
+
 @functools.cache
 def _box(scope: int) -> tuple[Inequality, ...]:
-    """0 <= x_j <= 1 for every slot in scope; (P2) needs the full box."""
-    return make_conditions(
-        ineq
-        for slot in range(scope)
-        for ineq in (Inequality(((slot, 1),), 0, False), Inequality(((slot, -1),), 1, False))
-    )
+    """0 <= x_j <= 1 for every slot in scope: what `evaluate` adds to every
+    result for (P2)."""
+    return make_conditions(ineq for slot in range(scope) for ineq in _slot_box(slot))
 
 
 def normalize_on(conditions: Iterable[Inequality], slot: int) -> tuple[list[Row], list[Row]]:
@@ -327,6 +333,7 @@ class TermEvaluator:
         self._rescale()
         conditions, expr = self._eval(term, env)
         n_free = len(names)
+        conditions = make_conditions([*conditions, *_box(n_free)])
         if any(s >= n_free for ineq in conditions for s, _ in ineq.coeffs) or any(
             s >= n_free for s, _ in expr.coeffs
         ):
@@ -368,6 +375,11 @@ class TermEvaluator:
         if witness is False:
             raise InternalInvariantError("branch witness is false at the evaluation point")
         if witness is True:
+            # a child's set is canonical, so a union that adds nothing is that set
+            if not c2 or c1 is c2:
+                return c1, expr
+            if not c1:
+                return c2, expr
             return make_conditions([*c1, *c2]), expr
         if not witness.holds(self._nums, self._den):
             raise InternalInvariantError(
@@ -382,17 +394,19 @@ class TermEvaluator:
                 raise EvalError(f"unbound term variable {term.name!r}")
             if any(not (0 <= n <= self._den) for n in self._nums):
                 raise InternalInvariantError("a scope variable left [0, 1]")
-            return _box(len(self._values)), Row(((slot, 1),), 0, 1)
+            return (), Row(((slot, 1),), 0, 1)
         if isinstance(term, terms.TConst):
-            return _box(len(self._values)), ONE if term.value else ZERO
+            return (), ONE if term.value else ZERO
         # every result this evaluation ever produced for a subterm satisfies
         # (P2) universally, so the results collected per (node, scope, slot
         # assignment) form part of a representing system: whenever a previous
         # result's conditions accept the current point it is the answer here
-        # too, and the acceptance test doubles as the (P1) assertion. Shared
+        # too, and the acceptance test doubles as the (P1) assertion (the box
+        # it leaves out is asserted where a loop sets its variable). Shared
         # subterms and the sweeps of enclosing loops revisit nodes constantly,
         # which makes this cache the difference between feasible and hopeless.
-        key = (term, len(self._values), tuple([(n, env[n]) for n in term.free]))
+        # The term implies the names of its free variables; their slots vary.
+        key = (term, len(self._values), *map(env.__getitem__, term.free))
         basis = self._cache.setdefault(key, [])
         nums, den = self._nums, self._den
         for i, (conds, expr) in enumerate(basis):
@@ -461,13 +475,18 @@ class TermEvaluator:
         self._values.append((0, 1))
         self._names.append(term.var)
         inner_env = {**env, term.var: slot}
+        slot_box = _slot_box(slot)
         carried: set[Inequality] = set()  # the loop's constraint set D
         approx = ZERO if is_mu else ONE
         try:
             for _ in range(self.max_loop_iterations):
                 self.loop_iterations += 1
                 self._set_value(slot, approx)
+                num, den = self._values[slot]
+                if not 0 <= num <= den:
+                    raise InternalInvariantError("a scope variable left [0, 1]")
                 conds, expr = self._eval(term.body, inner_env)
+                full = sorted({*conds, *slot_box})  # with the box of x, as (P2) needs
                 # expr = (c*x + rest)/d, so q = c/d and rest/(1-q) = rest/(d-c)
                 c, rest = _split(expr.coeffs, slot)
                 d = expr.den
@@ -475,12 +494,12 @@ class TermEvaluator:
                 if c != d:
                     f = Row.make(rest, expr.const, d - c)
                     self._set_value(slot, f)
-                    violated = _first_violated_sorted(conds, self._nums, self._den)
+                    violated = _first_violated_sorted(full, self._nums, self._den)
                     if violated is None:
                         merged = (
                             list(carried)
-                            + self._subst_set(conds, slot, approx)
-                            + self._subst_set(conds, slot, f)
+                            + self._subst_set(full, slot, approx)
+                            + self._subst_set(full, slot, f)
                         )
                         return self._finish(slot, merged, f)
                     sub = violated.substitute(slot, f)
@@ -494,7 +513,7 @@ class TermEvaluator:
                     if rest_num == 0:
                         eq_low = Inequality.canonical(rest, expr.const, strict=False)
                         eq_high = Inequality.canonical(negated, -expr.const, strict=False)
-                        merged = list(carried) + self._subst_set(conds, slot, approx)
+                        merged = list(carried) + self._subst_set(full, slot, approx)
                         merged += [i for i in (eq_low, eq_high) if isinstance(i, Inequality)]
                         return self._finish(slot, merged, approx)
                     if rest_num > 0:
@@ -504,7 +523,7 @@ class TermEvaluator:
                     if isinstance(sign, Inequality):
                         blocker = sign
                 # find the next approximation
-                uppers, lowers = normalize_on(conds, slot)
+                uppers, lowers = normalize_on(full, slot)
                 candidates = uppers if is_mu else lowers
                 if not candidates:
                     raise InternalInvariantError(
@@ -525,7 +544,7 @@ class TermEvaluator:
                         raise InternalInvariantError("chosen bound is not extremal")
                     if rel is not True:
                         relations.append(rel)
-                carried.update(self._subst_set(conds, slot, approx))
+                carried.update(self._subst_set(full, slot, approx))
                 if blocker is not None:
                     carried.add(blocker)
                 carried.update(relations)

@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import lmu, pctl, terms
 from .rationals import RationalParseError, parse_rational
@@ -44,8 +44,7 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "sym", "num", "ident", "eof"
     text: str
     column: int

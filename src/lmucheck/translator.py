@@ -356,6 +356,8 @@ def translate_all(
     if decided is not None:
         return {s: _ONE if s in decided else _ZERO for s in targets}
     phi = lmu.normalize_binders(phi)
+    if fragment is not None:  # the renaming keeps the root outside the fragment
+        fragment.decided[phi] = None
     binders = [n for n in lmu.subformulas(phi) if isinstance(n, (lmu.Mu, lmu.Nu))]
     number = {binder.var: i for i, binder in enumerate(binders, 1)}
 

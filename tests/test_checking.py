@@ -296,6 +296,31 @@ def test_a_check_evaluates_each_term_once_and_returns_values(monkeypatch):
     assert evaluated and total > len(cases)
 
 
+def test_a_root_outside_the_fragment_is_decided_once(monkeypatch):
+    # the fragment refuses the root as given; the renamed root is the same
+    # formula, so the walk reads that refusal instead of deciding again
+    m, interp = parse_model(
+        "state s0 s1\n"
+        "prop Q = { s1: 1/2 }\n"
+        "trans s0 -> { s0: 1/2, s1: 1/2 }\n"
+    )
+    phi = parse_lmu("mu X. (Q \\/ <>X)")
+    refusals = []
+    states = BooleanFragment.states
+
+    def counted(self, node):
+        fresh = node not in self.decided
+        result = states(self, node)
+        if fresh and result is None:
+            refusals.append(node)
+        return result
+
+    monkeypatch.setattr(BooleanFragment, "states", counted)
+    out = model_check_lmu(phi, m, interp)
+    assert out.values == {"s0": Fraction(1, 2), "s1": Fraction(1, 2)}
+    assert refusals == [phi]
+
+
 def test_unknown_requested_states_are_refused():
     # a root the fragment decides and a root on the term route both refuse
     # a state the model does not have

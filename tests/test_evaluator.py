@@ -471,6 +471,60 @@ def test_tied_bounds_keep_the_first_candidate():
     ]
 
 
+def test_loop_exit_substitutes_the_loop_variable_box():
+    # internal condition sets leave the box out, and a loop adds its own
+    # variable's back before substituting at exit: here the inner loop's
+    # 0 <= z <= 1 becomes `1*x0 + 1 >= 0` and `1*x0 + 1*x1 >= 0`, which
+    # neither the body nor the returned box of x0 and x1 contains
+    t = parse_term("nu y. (mu z. (1/2*z (+) 1/4*y (+) 1/4*x0) /\\ x1)")
+    result = eval_term(t, {"x0": F(1, 3), "x1": F(1, 2)})
+    assert (result.value, result.iterations) == (F(1, 3), 3)
+    assert render_lin_expr(result.expr, result.variables) == "1*x0"
+    assert [render_inequality(i, result.variables) for i in result.conditions] == [
+        "-3*x0 + 4 >= 0",
+        "-1*x0 + 1 >= 0",
+        "-1*x0 + 2 >= 0",
+        "-1*x0 + 3 >= 0",
+        "-1*x0 + 4 >= 0",
+        "-1*x0 + -2*x1 + 4 >= 0",
+        "-1*x0 + -1*x1 + 2 >= 0",
+        "-1*x0 + -1*x1 + 4 >= 0",
+        "-1*x0 + 1*x1 >= 0",
+        "-1*x0 + 1*x1 > 0",
+        "-1*x0 + 2*x1 >= 0",
+        "1*x0 >= 0",
+        "1*x0 + 1 >= 0",
+        "1*x0 + -2*x1 + 1 >= 0",
+        "1*x0 + 1*x1 >= 0",
+        "-1*x1 + 1 >= 0",
+        "-1*x1 + 4 >= 0",
+        "1*x1 >= 0",
+    ]
+
+
+def test_out_of_range_approximation_is_caught_on_a_cache_hit():
+    # a cached region leaves the box out, so its acceptance test no longer
+    # asserts that a loop variable lies in [0, 1]; the loop checks its
+    # approximation where it sets it. Here the nu loop shares its body with
+    # the mu loop evaluated first, and the cached body region z <= 3/2
+    # accepts the corrupted approximation z = 3/2.
+    class Corrupting(TermEvaluator):
+        armed = False
+
+        def _set_value(self, slot, expr):
+            super()._set_value(slot, expr)
+            if self.armed:
+                self.armed = False
+                self._values[slot] = (3, 2)
+                self._rescale()
+
+    ev = Corrupting()
+    assert ev.value(parse_term("mu z. (1/2*z (+) 1/4*1)"), {}) == F(1, 2)
+    ev.armed = True
+    with pytest.raises(InternalInvariantError, match=r"left \[0, 1\]"):
+        ev.value(parse_term("nu z. (1/2*z (+) 1/4*1)"), {})
+
+
 def test_determinism_byte_identical():
     t = parse_term(WORKED_EXAMPLE_INNER)
     a = eval_term(t, {"x": F(1, 4)})
