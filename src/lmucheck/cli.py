@@ -19,7 +19,7 @@ import sys
 import traceback
 from fractions import Fraction
 
-from . import lmu, pctl, terms
+from . import lmu, pctl
 from .checking import CheckOutcome, model_check_lmu, model_check_pctl
 from .encoder import encode_pctl
 from .evaluator import (
@@ -135,9 +135,9 @@ def _cmd_translate(args: argparse.Namespace) -> int:
     per_state = translate_all(formula, m, interp, targets)
     for s in targets:
         if len(targets) == 1:
-            print(terms.render_term(per_state[s]))
+            print(lmu.render_lmu(per_state[s]))
         else:
-            print(f"{s}: {terms.render_term(per_state[s])}")
+            print(f"{s}: {lmu.render_lmu(per_state[s])}")
     return 0
 
 

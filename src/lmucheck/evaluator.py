@@ -50,7 +50,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from . import terms
+from . import lmu
 from .rationals import format_rational
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "Row",
     "Inequality",
     "EvalResult",
-    "cond_holds",
     "normalize_on",
     "make_conditions",
     "TermEvaluator",
@@ -224,17 +223,6 @@ def make_conditions(items: Iterable[Inequality]) -> tuple[Inequality, ...]:
     return tuple(sorted(set(items)))
 
 
-def _scaled_point(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """A rational point as integer numerators over one common denominator."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def cond_holds(conditions: Iterable[Inequality], values: Sequence[Fraction]) -> bool:
-    nums, den = _scaled_point(values)
-    return all(ineq.holds(nums, den) for ineq in conditions)
-
-
 def _first_violated_sorted(
     conditions: Iterable[Inequality], nums: Sequence[int], den: int
 ) -> Inequality | None:
@@ -312,7 +300,7 @@ class TermEvaluator:
         self.loop_iterations = 0
         self._cache: dict[tuple, list[tuple[tuple[Inequality, ...], Row]]] = {}
 
-    def evaluate(self, term: terms.Term, point: Mapping[str, Fraction]) -> EvalResult:
+    def evaluate(self, term: lmu.Lmu, point: Mapping[str, Fraction]) -> EvalResult:
         missing = set(term.free) - set(point)
         if missing:
             raise EvalError(f"point does not cover variables {sorted(missing)}")
@@ -346,7 +334,7 @@ class TermEvaluator:
             iterations=self.loop_iterations - start_iterations,
         )
 
-    def value(self, term: terms.Term, point: Mapping[str, Fraction]) -> Fraction:
+    def value(self, term: lmu.Lmu, point: Mapping[str, Fraction]) -> Fraction:
         return self.evaluate(term, point).value
 
     # the point: `_values` holds each slot's value in lowest terms, and
@@ -387,15 +375,15 @@ class TermEvaluator:
             )
         return make_conditions([*c1, *c2, witness]), expr
 
-    def _eval(self, term: terms.Term, env: dict[str, int]) -> tuple[tuple[Inequality, ...], Row]:
-        if isinstance(term, terms.TVar):
+    def _eval(self, term: lmu.Lmu, env: dict[str, int]) -> tuple[tuple[Inequality, ...], Row]:
+        if isinstance(term, lmu.Var):
             slot = env.get(term.name)
             if slot is None:
                 raise EvalError(f"unbound term variable {term.name!r}")
             if any(not (0 <= n <= self._den) for n in self._nums):
                 raise InternalInvariantError("a scope variable left [0, 1]")
             return (), Row(((slot, 1),), 0, 1)
-        if isinstance(term, terms.TConst):
+        if isinstance(term, lmu.Const):
             return (), ONE if term.value else ZERO
         # every result this evaluation ever produced for a subterm satisfies
         # (P2) universally, so the results collected per (node, scope, slot
@@ -418,30 +406,30 @@ class TermEvaluator:
         basis.append(result)
         return result
 
-    def _eval_raw(self, term: terms.Term, env: dict[str, int]) -> tuple[tuple[Inequality, ...], Row]:
-        if isinstance(term, terms.TScalar):
+    def _eval_raw(self, term: lmu.Lmu, env: dict[str, int]) -> tuple[tuple[Inequality, ...], Row]:
+        if isinstance(term, lmu.Scalar):
             conds, expr = self._eval(term.body, env)
             return conds, expr.scale(term.factor)
-        if isinstance(term, (terms.TJoin, terms.TMeet)):
+        if isinstance(term, (lmu.Join, lmu.Meet)):
             c1, e1 = self._eval(term.left, env)
             c2, e2 = self._eval(term.right, env)
             # compare the values n1/(d1*D) and n2/(d2*D) by cross-multiplying
             v1 = e1.numerator_at(self._nums, self._den) * e2.den
             v2 = e2.numerator_at(self._nums, self._den) * e1.den
-            prefer_left = v1 >= v2 if isinstance(term, terms.TJoin) else v1 <= v2
+            prefer_left = v1 >= v2 if isinstance(term, lmu.Join) else v1 <= v2
             winner, loser = (e1, e2) if prefer_left else (e2, e1)
-            if isinstance(term, terms.TJoin):
+            if isinstance(term, lmu.Join):
                 witness = _at_least(winner, loser)
             else:
                 witness = _at_least(loser, winner)
             return self._witnessed(c1, c2, witness, winner)
-        if isinstance(term, (terms.TOPlus, terms.TOTimes)):
+        if isinstance(term, (lmu.OPlus, lmu.OTimes)):
             c1, e1 = self._eval(term.left, env)
             c2, e2 = self._eval(term.right, env)
             total = e1.plus(e2)
             # the sign of total - 1 at the point, over the denominator total.den * D
             excess = total.numerator_at(self._nums, self._den) - total.den * self._den
-            if isinstance(term, terms.TOPlus):
+            if isinstance(term, lmu.OPlus):
                 if excess <= 0:
                     witness, result = _at_least(ONE, total), total
                 else:
@@ -452,7 +440,7 @@ class TermEvaluator:
                 else:
                     witness, result = _at_least(ONE, total), ZERO
             return self._witnessed(c1, c2, witness, result)
-        if isinstance(term, (terms.TMu, terms.TNu)):
+        if isinstance(term, (lmu.Mu, lmu.Nu)):
             return self._fixpoint(term, env)
         raise TypeError(f"not a term: {term!r}")
 
@@ -468,9 +456,9 @@ class TermEvaluator:
         return out
 
     def _fixpoint(
-        self, term: terms.TMu | terms.TNu, env: dict[str, int]
+        self, term: lmu.Mu | lmu.Nu, env: dict[str, int]
     ) -> tuple[tuple[Inequality, ...], Row]:
-        is_mu = isinstance(term, terms.TMu)
+        is_mu = isinstance(term, lmu.Mu)
         slot = len(self._values)
         self._values.append((0, 1))
         self._names.append(term.var)
@@ -573,7 +561,7 @@ class TermEvaluator:
 
 
 def eval_term(
-    term: terms.Term,
+    term: lmu.Lmu,
     point: Mapping[str, Fraction],
     max_loop_iterations: int = DEFAULT_LOOP_CAP,
 ) -> EvalResult:

@@ -6,7 +6,7 @@ identity and equal subformulas are shared. Each node carries `free`, its
 sorted free variable names. The leaves `ONE` and `ZERO` are the literals
 `1` and `0`, constants with that value everywhere (not fixed points), and
 `constant(q)` is the scalar constant `q*1`. All coefficients are rationals
-in [0, 1]. The fixed-point terms of `terms` are the formulas without
+in [0, 1]. A fixed-point term, the evaluator's input, is a formula without
 modalities, propositions or complements.
 """
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping
 
-from . import lmu, pctl, terms
+from . import lmu, pctl
 from .model import Distribution, Interpretation, Pnts
 from .rationals import format_rational
 
@@ -317,7 +317,7 @@ class KleeneOutcome:
 
 
 def kleene_term(
-    t: terms.Term,
+    t: lmu.Lmu,
     point: Mapping[str, Fraction],
     budget: int = DEFAULT_KLEENE_BUDGET,
     fuel: int = 200_000,

@@ -32,7 +32,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import lmu, pctl, terms
+from . import lmu, pctl
 from .rationals import RationalParseError, parse_rational
 
 __all__ = ["ParseError", "parse_lmu", "parse_pctl", "parse_term"]
@@ -264,7 +264,7 @@ class _TermParser(_LmuParser):
         raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.column)
 
 
-def parse_term(text: str) -> terms.Term:
+def parse_term(text: str) -> lmu.Lmu:
     """Parse a fixed-point term; free variables are allowed."""
     return _TermParser(text).parse()
 

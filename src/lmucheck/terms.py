@@ -1,19 +1,12 @@
-"""Fixed-point terms denoting monotone functions [0,1]^n -> [0,1].
+"""Second names for `lmu` objects, kept only for the benchmark.
 
-A term is a formula of `lmu` from its modality-free, proposition-free
-fragment: variables, the constants 1 and 0 (TConst), scalar multiplication
-by a rational in [0, 1], min/max (TMeet/TJoin), truncated sum and product
-(TOPlus/TOTimes), and the two fixed-point binders. Free variables are
-allowed; a term's `free` lists them. `tconst(q)` is the scalar sugar `q*1`,
-whose body is `T_ONE`. Binders may shadow (the evaluator scopes variables
-lexically), which the state translation exploits. This module only names
-that fragment: every binding below is the `lmu` node class or function
-itself.
+A fixed-point term is an `lmu` formula, and the library and its tests use
+`lmu`'s names for it. The benchmark under `perfbench/` still imports the
+names below, and each is the `lmu` object itself. This module goes when the
+benchmark moves to `lmu`'s names; nothing else may import it.
 """
 
 from .lmu import (
-    ONE as T_ONE,
-    Const as TConst,
     Join as TJoin,
     Lmu as Term,
     Meet as TMeet,
@@ -30,7 +23,6 @@ from .lmu import (
 __all__ = [
     "Term",
     "TVar",
-    "TConst",
     "TScalar",
     "TJoin",
     "TMeet",
@@ -38,7 +30,6 @@ __all__ = [
     "TOTimes",
     "TMu",
     "TNu",
-    "T_ONE",
     "tconst",
     "render_term",
 ]

@@ -24,10 +24,10 @@ states, so re-entry adds (i, s) to it, as entering binder i does.
 
 The walk folds constants as it goes. A subterm that constants decide is
 kept as its value, a `Fraction`, in the memo and in every rule below; no
-node is built for it. A constant becomes the term node `tconst(q)` only
+node is built for it. A constant becomes the term node `constant(q)` only
 where it meets an undecided operand (`q \\/ t`, say) and, without an
 evaluator, as a per-state result, so the terms returned are the same as if
-every constant were built as `tconst(q)` and folded node by node. Every
+every constant were built as `constant(q)` and folded node by node. Every
 term denotes a value in [0, 1], which makes each rule exact:
 
 - two constant operands of `\\/ /\\ (+) (.)` fold to the constant their
@@ -92,7 +92,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import lmu, terms
+from . import lmu
 from .evaluator import InternalInvariantError, TermEvaluator
 from .model import Interpretation, Pnts
 
@@ -103,12 +103,12 @@ _ONE, _ZERO = Fraction(1), Fraction(0)
 _CLOSED: frozenset[tuple[int, str]] = frozenset()  # the context a closed node reads
 
 # a translated subterm: its value once constants decide it, else a term
-Folded = Fraction | terms.Term
+Folded = Fraction | lmu.Lmu
 
 
-def _is_constant(t: terms.Term) -> bool:
+def _is_constant(t: lmu.Lmu) -> bool:
     """Whether t is a constant node `q*1`."""
-    return type(t) is terms.TScalar and t.body is terms.T_ONE
+    return type(t) is lmu.Scalar and t.body is lmu.ONE
 
 
 class TranslationError(ValueError):
@@ -267,56 +267,56 @@ class BooleanFragment:
 # connective -> (absorbing value, neutral value, value of two constants);
 # values are compared with ints, which `Fraction` compares fastest
 _RULES = {
-    terms.TJoin: (1, 0, max),
-    terms.TMeet: (0, 1, min),
-    terms.TOPlus: (1, 0, lambda a, b: min(_ONE, a + b)),
-    terms.TOTimes: (0, 1, lambda a, b: max(_ZERO, a + b - 1)),
+    lmu.Join: (1, 0, max),
+    lmu.Meet: (0, 1, min),
+    lmu.OPlus: (1, 0, lambda a, b: min(_ONE, a + b)),
+    lmu.OTimes: (0, 1, lambda a, b: max(_ZERO, a + b - 1)),
 }
 
 
 def combine(cls: type, left: Folded, right: Folded) -> Folded:
     absorbing, neutral, fold = _RULES[cls]
-    if not isinstance(left, terms.Term):
-        if not isinstance(right, terms.Term):
+    if not isinstance(left, lmu.Lmu):
+        if not isinstance(right, lmu.Lmu):
             return fold(left, right)
         if left == absorbing:
             return left
         if left == neutral:
             return right
-        return cls(terms.tconst(left), right)
-    if not isinstance(right, terms.Term):
+        return cls(lmu.constant(left), right)
+    if not isinstance(right, lmu.Lmu):
         if right == absorbing:
             return right
         if right == neutral:
             return left
-        return cls(left, terms.tconst(right))
+        return cls(left, lmu.constant(right))
     return cls(left, right)
 
 
 def scale(q: Fraction, body: Folded) -> Folded:
     if q == 1:
         return body
-    if not isinstance(body, terms.Term):
+    if not isinstance(body, lmu.Lmu):
         return q * body
-    return terms.TScalar(q, body)
+    return lmu.Scalar(q, body)
 
 
 # binder -> (connective of its threshold body, the body's one fixed point)
-_THRESHOLDS = {terms.TMu: (terms.TOPlus, _ONE), terms.TNu: (terms.TOTimes, _ZERO)}
+_THRESHOLDS = {lmu.Mu: (lmu.OPlus, _ONE), lmu.Nu: (lmu.OTimes, _ZERO)}
 
 
 def bind(cls: type, var: str, body: Folded) -> Folded:
-    if not isinstance(body, terms.Term) or var not in body.free:
+    if not isinstance(body, lmu.Lmu) or var not in body.free:
         return body
     # the variable is free in the body, so a variable body, or a
     # variable next to a closed constant, is the variable itself
-    if isinstance(body, terms.TVar):
-        return _ZERO if cls is terms.TMu else _ONE
+    if isinstance(body, lmu.Var):
+        return _ZERO if cls is lmu.Mu else _ONE
     connective, value = _THRESHOLDS[cls]
     if type(body) is connective:
         left, right = body.left, body.right
-        if (_is_constant(left) and type(right) is terms.TVar) or (
-            type(left) is terms.TVar and _is_constant(right)
+        if (_is_constant(left) and type(right) is lmu.Var) or (
+            type(left) is lmu.Var and _is_constant(right)
         ):
             return value
     return cls(var, body)
@@ -368,8 +368,7 @@ def translate_all(
         """Binder i at state s, (i, s) opened in the context."""
         binder = binders[i - 1]
         body = walk(binder.body, gamma | {(i, s)}, s)
-        cls = terms.TMu if type(binder) is lmu.Mu else terms.TNu
-        return bind(cls, term_var(i, s), body)
+        return bind(type(binder), term_var(i, s), body)
 
     def modal_sum(d, sub: lmu.Lmu, gamma: frozenset[tuple[int, str]]) -> Folded:
         # the leading decided pieces, summed as num/den on integers
@@ -377,10 +376,10 @@ def translate_all(
         entries = iter(d.entries)
         for target, weight in entries:
             value = walk(sub, gamma, target)
-            if isinstance(value, terms.Term):
+            if isinstance(value, lmu.Lmu):
                 acc = scale(weight, value)
                 if num:
-                    acc = combine(terms.TOPlus, Fraction(num, den), acc)
+                    acc = combine(lmu.OPlus, Fraction(num, den), acc)
                 break
             n = weight.numerator * value.numerator
             if n:
@@ -395,8 +394,8 @@ def translate_all(
             return Fraction(num, den)
         # the rest piece by piece, so each constant keeps its place in the term
         for target, weight in entries:
-            acc = combine(terms.TOPlus, acc, scale(weight, walk(sub, gamma, target)))
-            if not isinstance(acc, terms.Term) and acc == 1:
+            acc = combine(lmu.OPlus, acc, scale(weight, walk(sub, gamma, target)))
+            if not isinstance(acc, lmu.Lmu) and acc == 1:
                 break
         return acc
 
@@ -406,12 +405,12 @@ def translate_all(
         absorbing = _RULES[cls][0]
         dists = m.distributions(s)
         if not dists:  # the empty join is 0, the empty meet 1
-            return _ZERO if cls is terms.TJoin else _ONE
+            return _ZERO if cls is lmu.Join else _ONE
         acc: Folded | None = None
         for d in dists:
             piece = modal_sum(d, node.body, gamma)
             acc = piece if acc is None else combine(cls, acc, piece)
-            if not isinstance(acc, terms.Term) and acc == absorbing:
+            if not isinstance(acc, lmu.Lmu) and acc == absorbing:
                 break
         return acc
 
@@ -432,7 +431,7 @@ def translate_all(
         if isinstance(node, lmu.Var):
             i = number[node.name]
             if (i, s) in gamma:
-                result: Folded = terms.TVar(term_var(i, s))
+                result: Folded = lmu.Var(term_var(i, s))
             else:
                 # a closed binder already solved at s is read as its value;
                 # without an evaluator the walk keeps the reference terms
@@ -452,14 +451,14 @@ def translate_all(
             # operand that decides it leaves the right one unwalked
             cls = type(node)
             left = walk(node.left, gamma, s)
-            if not isinstance(left, terms.Term) and left == _RULES[cls][0]:
+            if not isinstance(left, lmu.Lmu) and left == _RULES[cls][0]:
                 result = left
             else:
                 result = combine(cls, left, walk(node.right, gamma, s))
         elif isinstance(node, lmu.Diamond):
-            result = modal(terms.TJoin, node, gamma, s)
+            result = modal(lmu.Join, node, gamma, s)
         elif isinstance(node, lmu.Box):
-            result = modal(terms.TMeet, node, gamma, s)
+            result = modal(lmu.Meet, node, gamma, s)
         elif isinstance(node, (lmu.Mu, lmu.Nu)):
             solve = fragment is not None and not node.free
             decided = fragment.states(node) if solve else None
@@ -467,7 +466,7 @@ def translate_all(
                 result = _ONE if s in decided else _ZERO
             else:
                 result = expand(number[node.var], gamma, s)
-                if solve and isinstance(result, terms.Term):  # solved: keep its value
+                if solve and isinstance(result, lmu.Lmu):  # solved: keep its value
                     result = evaluator.value(result, {})
         else:
             raise TypeError(f"not a formula: {node!r}")
@@ -478,11 +477,11 @@ def translate_all(
     try:
         for state in targets:
             result = walk(phi, _CLOSED, state)
-            if isinstance(result, terms.Term):
+            if isinstance(result, lmu.Lmu):
                 if evaluator is not None:
                     raise InternalInvariantError(f"the check left a term at {state!r}")
             elif evaluator is None:
-                result = terms.tconst(result)
+                result = lmu.constant(result)
             per_state[state] = result
     finally:
         walk = None  # break the cycles, all through `walk`: the memo is freed on exit

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
+from typing import Iterable, Sequence
 
-from lmucheck import lmu, pctl, terms
-from lmucheck.evaluator import EvalResult, cond_holds
+from lmucheck import lmu, pctl
+from lmucheck.evaluator import EvalResult, Inequality
 from lmucheck.model import Distribution, Interpretation, Pnts
 
 PROPS = ("P1", "P2")
@@ -81,9 +83,9 @@ def rand_model_exact(
     return Pnts(states, transitions)
 
 
-def term_dag(roots) -> list[terms.Term]:
+def term_dag(roots) -> list[lmu.Lmu]:
     """Distinct term nodes reachable from the roots, each once."""
-    seen: dict[int, terms.Term] = {}
+    seen: dict[int, lmu.Lmu] = {}
     stack = list(roots)
     while stack:
         node = stack.pop()
@@ -187,31 +189,31 @@ def rand_term(
     env: tuple[str, ...],
     binder_budget: int = 3,
     counter: list[int] | None = None,
-) -> terms.Term:
+) -> lmu.Lmu:
     if counter is None:
         counter = [0]
     if depth <= 0:
         if env and rng.random() < 0.7:
-            return terms.TVar(rng.choice(env))
-        return terms.tconst(rand_rational(rng))
+            return lmu.Var(rng.choice(env))
+        return lmu.constant(rand_rational(rng))
     choices = ["scalar", "join", "meet", "oplus", "otimes", "leaf"]
     if binder_budget > 0:
         choices += ["mu", "nu"]
     kind = rng.choice(choices)
     if kind == "leaf":
         if env and rng.random() < 0.7:
-            return terms.TVar(rng.choice(env))
-        return terms.tconst(rand_rational(rng))
+            return lmu.Var(rng.choice(env))
+        return lmu.constant(rand_rational(rng))
     if kind == "scalar":
-        return terms.TScalar(
+        return lmu.Scalar(
             rand_rational(rng), rand_term(rng, depth - 1, env, binder_budget, counter)
         )
     if kind in ("join", "meet", "oplus", "otimes"):
         cls = {
-            "join": terms.TJoin,
-            "meet": terms.TMeet,
-            "oplus": terms.TOPlus,
-            "otimes": terms.TOTimes,
+            "join": lmu.Join,
+            "meet": lmu.Meet,
+            "oplus": lmu.OPlus,
+            "otimes": lmu.OTimes,
         }[kind]
         return cls(
             rand_term(rng, depth - 1, env, binder_budget, counter),
@@ -219,23 +221,34 @@ def rand_term(
         )
     counter[0] += 1
     var = f"b{counter[0]}"
-    cls = terms.TMu if kind == "mu" else terms.TNu
+    cls = lmu.Mu if kind == "mu" else lmu.Nu
     return cls(var, rand_term(rng, depth - 1, env + (var,), binder_budget - 1, counter))
 
 
 def rand_binder_term(
     rng: random.Random, depth: int = 3, free_vars: tuple[str, ...] = ("x0", "x1")
-) -> terms.TMu | terms.TNu:
+) -> lmu.Mu | lmu.Nu:
     """Random term whose root is a fixed point over a fresh variable."""
     counter = [0]
     var = "w0"
     body = rand_term(rng, depth, free_vars + (var,), binder_budget=2, counter=counter)
-    cls = terms.TMu if rng.random() < 0.5 else terms.TNu
+    cls = lmu.Mu if rng.random() < 0.5 else lmu.Nu
     return cls(var, body)
 
 
 def rand_point(rng: random.Random, names, max_den: int = 8) -> dict[str, Fraction]:
     return {name: rand_rational(rng, max_den) for name in names}
+
+
+def _scaled_point(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """A rational point as integer numerators over one common denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def cond_holds(conditions: Iterable[Inequality], values: Sequence[Fraction]) -> bool:
+    nums, den = _scaled_point(values)
+    return all(ineq.holds(nums, den) for ineq in conditions)
 
 
 def satisfying_samples(

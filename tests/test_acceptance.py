@@ -12,6 +12,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from generators import (
+    cond_holds,
     rand_binder_term,
     rand_bool_interp,
     rand_interp,
@@ -23,11 +24,11 @@ from generators import (
     satisfying_samples,
     term_dag,
 )
-from lmucheck import lmu, pctl, terms
+from lmucheck import lmu, pctl
 from lmucheck.checking import model_check_lmu, model_check_pctl
 from lmucheck.cli import main as cli_main
 from lmucheck.encoder import encode_pctl
-from lmucheck.evaluator import LinExpr, cond_holds, eval_term
+from lmucheck.evaluator import LinExpr, eval_term
 from lmucheck.model import Interpretation
 from lmucheck.oracle import direct_value, kleene_term, pctl_oracle
 from lmucheck.parser import parse_term
@@ -272,7 +273,7 @@ def test_evaluator_property_suite():
             assert eval_term(t.body, {**point, t.var: value}).value == value, case
 
             # strictness witnesses on the approach side of the fixed point
-            is_mu = isinstance(t, terms.TMu)
+            is_mu = isinstance(t, lmu.Mu)
             for _ in range(5):
                 lam = F(rng.randint(1, 15), 16)
                 if is_mu and value > 0:

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from generators import rand_bool_interp, rand_interp, rand_lmu, rand_model, rand_model_exact
-from lmucheck import lmu, pctl, terms
+from lmucheck import lmu, pctl
 from lmucheck.checking import model_check_lmu, model_check_pctl
 from lmucheck.encoder import encode_pctl
 from lmucheck.evaluator import TermEvaluator, eval_term
@@ -251,7 +251,7 @@ def test_strata_are_evaluated_only_where_reached(monkeypatch):
     value = TermEvaluator.value
 
     def recording_value(self, term, point):
-        evaluated.append(terms.render_term(term))
+        evaluated.append(lmu.render_lmu(term))
         return value(self, term, point)
 
     monkeypatch.setattr(TermEvaluator, "value", recording_value)
@@ -466,7 +466,7 @@ def test_constant_terms_are_read_off(q):
     # a constant `q*1`, as `translate` prints a decided state, evaluates to
     # q without a loop; a check gets such a state back as q itself
     # (tests/test_translator.py::test_constants_fold_to_values_not_nodes)
-    t = terms.tconst(q)
+    t = lmu.constant(q)
     reference = TermEvaluator().evaluate(t, {})
     assert reference.value == q
     assert reference.iterations == 0

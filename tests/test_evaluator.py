@@ -6,8 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from generators import rand_binder_term, rand_point, rand_term, satisfying_samples
-from lmucheck import terms
+from generators import (
+    _scaled_point,
+    cond_holds,
+    rand_binder_term,
+    rand_point,
+    rand_term,
+    satisfying_samples,
+)
+from lmucheck import lmu
 from lmucheck.evaluator import (
     EvalError,
     Inequality,
@@ -18,9 +25,7 @@ from lmucheck.evaluator import (
     _at_least,
     _box,
     _first_violated_sorted,
-    _scaled_point,
     _split,
-    cond_holds,
     eval_term,
     make_conditions,
     normalize_on,
@@ -326,32 +331,32 @@ def test_normalize_on_candidate_order():
 
 
 def test_oplus_saturation():
-    t = terms.TOPlus(terms.tconst(F(1, 2)), terms.tconst(F(3, 4)))
+    t = lmu.OPlus(lmu.constant(F(1, 2)), lmu.constant(F(3, 4)))
     result = eval_term(t, {})
     assert result.value == 1
     assert result.expr == LinExpr((), F(1))
 
 
 def test_oplus_exact_sum():
-    t = terms.TOPlus(terms.tconst(F(1, 2)), terms.tconst(F(1, 4)))
+    t = lmu.OPlus(lmu.constant(F(1, 2)), lmu.constant(F(1, 4)))
     assert eval_term(t, {}).value == F(3, 4)
 
 
 def test_otimes_cases():
-    assert eval_term(terms.TOTimes(terms.tconst(F(1, 2)), terms.tconst(F(3, 4))), {}).value == F(1, 4)
-    assert eval_term(terms.TOTimes(terms.tconst(F(1, 4)), terms.tconst(F(1, 2))), {}).value == 0
+    assert eval_term(lmu.OTimes(lmu.constant(F(1, 2)), lmu.constant(F(3, 4))), {}).value == F(1, 4)
+    assert eval_term(lmu.OTimes(lmu.constant(F(1, 4)), lmu.constant(F(1, 2))), {}).value == 0
 
 
 def test_join_meet():
-    assert eval_term(terms.TJoin(terms.tconst(F(1, 3)), terms.tconst(F(2, 3))), {}).value == F(2, 3)
-    assert eval_term(terms.TMeet(terms.tconst(F(1, 3)), terms.tconst(F(2, 3))), {}).value == F(1, 3)
+    assert eval_term(lmu.Join(lmu.constant(F(1, 3)), lmu.constant(F(2, 3))), {}).value == F(2, 3)
+    assert eval_term(lmu.Meet(lmu.constant(F(1, 3)), lmu.constant(F(2, 3))), {}).value == F(1, 3)
 
 
 def test_fixpoint_identities():
     assert eval_term(parse_term("mu x. x"), {}).value == 0
     assert eval_term(parse_term("nu x. x"), {}).value == 1
     assert eval_term(parse_term("mu x. (x \\/ 0)"), {}).value == 0
-    assert eval_term(terms.tconst(F(3, 7)), {}).value == F(3, 7)
+    assert eval_term(lmu.constant(F(3, 7)), {}).value == F(3, 7)
 
 
 def test_linear_fixpoint_solved_exactly():
@@ -403,9 +408,9 @@ def test_shadowed_binder_variables():
 
 def test_eval_errors():
     with pytest.raises(EvalError, match="does not cover"):
-        eval_term(terms.TVar("x"), {})
+        eval_term(lmu.Var("x"), {})
     with pytest.raises(EvalError, match=r"outside \[0, 1\]"):
-        eval_term(terms.TVar("x"), {"x": F(3, 2)})
+        eval_term(lmu.Var("x"), {"x": F(3, 2)})
 
 
 def test_iteration_cap_reports_internal_error():
@@ -414,7 +419,7 @@ def test_iteration_cap_reports_internal_error():
 
 
 def test_extra_point_variables_are_ambient():
-    result = eval_term(terms.TVar("x"), {"x": F(1, 2), "y": F(1, 3)})
+    result = eval_term(lmu.Var("x"), {"x": F(1, 2), "y": F(1, 3)})
     assert result.value == F(1, 2)
     assert result.variables == ("x", "y")
 
@@ -559,7 +564,7 @@ def test_fixpoint_residual_and_witnesses_random():
         value = eval_term(t, point).value
         at_value = eval_term(t.body, {**point, t.var: value}).value
         assert at_value == value  # the computed value is a fixed point of the body
-        is_mu = isinstance(t, terms.TMu)
+        is_mu = isinstance(t, lmu.Mu)
         for _ in range(3):
             lam = F(rng.randint(1, 15), 16)
             if is_mu and value > 0:

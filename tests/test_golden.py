@@ -36,7 +36,7 @@ from generators import (
     rand_pctl,
     rand_point,
 )
-from lmucheck import lmu, pctl, terms
+from lmucheck import lmu, pctl
 from lmucheck.cli import main
 from lmucheck.model import render_model
 from lmucheck.rationals import format_rational
@@ -76,7 +76,7 @@ def build_cases() -> list[dict]:
         names = tuple(f"x{j}" for j in range(2 + i % 3))
         t = rand_binder_term(rng, depth=4, free_vars=names)
         at = [f"--at={n}={format_rational(v)}" for n, v in rand_point(rng, names).items()]
-        argv = ["eval", "--term", terms.render_term(t), *at, "--show-conditions"]
+        argv = ["eval", "--term", lmu.render_lmu(t), *at, "--show-conditions"]
         cases.append({"argv": argv, "model": None})
     for i in range(CHECK_CASES):
         m = rand_model_exact(rng, 2, n_dists=2, max_support=2)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from generators import rand_bool_interp, rand_lmu, rand_model, rand_pctl, rand_term
-from lmucheck import lmu, pctl, terms
+from lmucheck import lmu, pctl
 from lmucheck.checking import model_check_lmu
 from lmucheck.model import parse_model
 from lmucheck.parser import (
@@ -36,15 +36,15 @@ def deep_chain() -> lmu.Lmu:
 
 
 def test_term_free_variables_deep_term():
-    t: terms.Term = terms.TVar("x")
+    t: lmu.Lmu = lmu.Var("x")
     for i in range(10_000):
-        t = terms.TOPlus(t, terms.TVar("y")) if i % 2 else terms.TMu("z", t)
+        t = lmu.OPlus(t, lmu.Var("y")) if i % 2 else lmu.Mu("z", t)
     phi = deep_chain()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # the interpreter default; conftest raises it
     try:
         assert t.free == ("x", "y")
-        assert terms.TMu("x", t).free == ("y",)
+        assert lmu.Mu("x", t).free == ("y",)
         assert phi.free == ("x",)
         assert lmu.Nu("x", phi).free == ()
         assert hash(phi) == hash(phi) and phi == phi
@@ -142,9 +142,9 @@ def test_parse_pctl_basic():
 
 def test_parse_worked_example_term():
     t = parse_term("mu x . ( nu y . ( y (.) ( x (+) 1/2*1 ) ) \\/ 1/2*1 )")
-    half = terms.tconst(Fraction(1, 2))
-    inner = terms.TNu("y", terms.TOTimes(terms.TVar("y"), terms.TOPlus(terms.TVar("x"), half)))
-    assert t == terms.TMu("x", terms.TJoin(inner, half))
+    half = lmu.constant(Fraction(1, 2))
+    inner = lmu.Nu("y", lmu.OTimes(lmu.Var("y"), lmu.OPlus(lmu.Var("x"), half)))
+    assert t == lmu.Mu("x", lmu.Join(inner, half))
 
 
 def test_parse_literals_and_complement():
@@ -341,7 +341,7 @@ def test_term_round_trip_random():
     rng = random.Random(29)
     for _ in range(300):
         t = rand_term(rng, depth=rng.randint(0, 4), env=("x", "y"))
-        assert parse_term(terms.render_term(t)) == t
+        assert parse_term(lmu.render_lmu(t)) == t
 
 
 def test_pctl_round_trip_random():
@@ -352,8 +352,8 @@ def test_pctl_round_trip_random():
 
 
 def test_translator_var_names_round_trip():
-    t = terms.TMu("x_1@s0", terms.TOPlus(terms.TVar("x_1@s0"), terms.TVar("x_2@s1")))
-    assert parse_term(terms.render_term(t)) == t
+    t = lmu.Mu("x_1@s0", lmu.OPlus(lmu.Var("x_1@s0"), lmu.Var("x_2@s1")))
+    assert parse_term(lmu.render_lmu(t)) == t
 
 
 def test_dual_swaps_connectives():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import rand_interp, rand_lmu, rand_model, rand_model_exact, term_dag
-from lmucheck import lmu, terms
+from lmucheck import lmu
 from lmucheck.checking import model_check_lmu
 from lmucheck.evaluator import TermEvaluator, eval_term
 from lmucheck.model import parse_model
@@ -72,14 +72,14 @@ def test_translate_diamond_expectation():
     m, interp = parse_model(COIN)
     t = translate_all(parse_lmu("<>P"), m, interp, ("s0",))["s0"]
     # 1/2*0 (+) 1/2*1 folds to the constant 1/2
-    assert t == terms.tconst(F(1, 2))
+    assert t == lmu.constant(F(1, 2))
     assert eval_term(t, {}).value == F(1, 2)
 
 
 def test_translate_deadlock_modalities():
     m, interp = parse_model(COIN)
-    assert translate_all(parse_lmu("<>P"), m, interp, ("s1",))["s1"] == terms.tconst(F(0))
-    assert translate_all(parse_lmu("[]P"), m, interp, ("s1",))["s1"] == terms.tconst(F(1))
+    assert translate_all(parse_lmu("<>P"), m, interp, ("s1",))["s1"] == lmu.constant(F(0))
+    assert translate_all(parse_lmu("[]P"), m, interp, ("s1",))["s1"] == lmu.constant(F(1))
 
 
 def test_translate_reachability_value():
@@ -187,8 +187,8 @@ trans s -> { s: 1/2, d: 1/2 }
 trans s -> { d: 1 }
 """
 
-X_S = terms.TVar(term_var(1, "s"))
-HALF_X = terms.TMu(term_var(1, "s"), terms.TScalar(F(1, 2), X_S))  # mu x. 1/2*x
+X_S = lmu.Var(term_var(1, "s"))
+HALF_X = lmu.Mu(term_var(1, "s"), lmu.Scalar(F(1, 2), X_S))  # mu x. 1/2*x
 
 
 def threshold(rel, arg, q=None):
@@ -268,10 +268,10 @@ def test_fold_rules(text, state, expected):
     m, interp = parse_model(FOLD)
     phi = parse_lmu(text)
     t = translate_all(phi, m, interp, (state,))[state]
-    if isinstance(expected, terms.Term):
+    if isinstance(expected, lmu.Lmu):
         assert t == expected
     else:
-        assert t == terms.tconst(expected)
+        assert t == lmu.constant(expected)
     if any(isinstance(n, (lmu.Mu, lmu.Nu)) for n in lmu.subformulas(phi)):
         outcome = kleene_lmu(phi, m, interp, budget=300)
         assert outcome.stabilized
@@ -288,15 +288,15 @@ def test_short_circuit_skips_the_decided_operand():
     # P = 1 at s0 decides the join: the binder, the join and P are all the
     # walk visits, while <>X would re-expand the binder at s1
     decided = parse_lmu("mu X. (P \\/ <>X)")
-    assert translate_all(decided, m, interp, ("s0",), max_steps=3)["s0"] == terms.tconst(F(1))
+    assert translate_all(decided, m, interp, ("s0",), max_steps=3)["s0"] == lmu.constant(F(1))
     swapped = parse_lmu("mu X. (<>X \\/ P)")
     with pytest.raises(TranslationError, match="steps"):
         translate_all(swapped, m, interp, ("s0",), max_steps=3)
-    assert translate_all(swapped, m, interp, ("s0",))["s0"] == terms.tconst(F(1))
+    assert translate_all(swapped, m, interp, ("s0",))["s0"] == lmu.constant(F(1))
 
 
 def is_constant(node) -> bool:
-    return isinstance(node, terms.TScalar) and node.body is terms.T_ONE
+    return isinstance(node, lmu.Scalar) and node.body is lmu.ONE
 
 
 def assert_fully_folded(per_state) -> None:
@@ -307,23 +307,23 @@ def assert_fully_folded(per_state) -> None:
     for n in nodes:
         if is_constant(n):
             assert values.setdefault(n.factor, n) is n, n
-        elif n is terms.T_ONE:
+        elif n is lmu.ONE:
             continue  # the body of every constant
-        elif isinstance(n, terms.TScalar):
+        elif isinstance(n, lmu.Scalar):
             assert n.factor not in (0, 1) and not is_constant(n.body), n
-        elif isinstance(n, (terms.TJoin, terms.TMeet, terms.TOPlus, terms.TOTimes)):
+        elif isinstance(n, (lmu.Join, lmu.Meet, lmu.OPlus, lmu.OTimes)):
             for side in (n.left, n.right):
                 assert not (is_constant(side) and side.factor in (0, 1)), n
             assert not (is_constant(n.left) and is_constant(n.right)), n
-        elif isinstance(n, (terms.TMu, terms.TNu)):
+        elif isinstance(n, (lmu.Mu, lmu.Nu)):
             # a constant body mentions no variable, so this covers it
-            assert n.var in n.body.free and n.body is not terms.TVar(n.var), n
+            assert n.var in n.body.free and n.body is not lmu.Var(n.var), n
             # no threshold over a decided argument: mu x. (x (+) q*1) is 1
             # and nu x. (x (.) q*1) is 0, with x on either side
-            connective = terms.TOPlus if isinstance(n, terms.TMu) else terms.TOTimes
+            connective = lmu.OPlus if isinstance(n, lmu.Mu) else lmu.OTimes
             if isinstance(n.body, connective):
                 sides = (n.body.left, n.body.right)
-                assert not (terms.TVar(n.var) in sides and any(map(is_constant, sides))), n
+                assert not (lmu.Var(n.var) in sides and any(map(is_constant, sides))), n
 
 
 def test_folded_values_within_kleene_bounds_on_random_corpus():
@@ -355,12 +355,12 @@ def test_constants_fold_to_values_not_nodes(monkeypatch):
     interp = rand_interp(rng, m)
     phi = parse_lmu("<>(P1 \\/ []~P2) (+) 1/2*(P2 (.) <>P1) /\\ [](1/3*1 \\/ ~P1)")
     built = []
-    tconst = terms.tconst
-    monkeypatch.setattr(terms, "tconst", lambda q: built.append(q) or tconst(q))
+    constant = lmu.constant
+    monkeypatch.setattr(lmu, "constant", lambda q: built.append(q) or constant(q))
     per_state = translate_all(phi, m, interp)
     assert len(built) <= len(m.states)
     expected = direct_value(phi, m, interp)
-    assert per_state == {s: tconst(expected[s]) for s in m.states}
+    assert per_state == {s: constant(expected[s]) for s in m.states}
     # a check gets every decided state back as its value: no constant node
     # and no evaluation
     built.clear()
@@ -385,7 +385,7 @@ def test_sum_keeps_constants_on_both_sides_of_an_undecided_piece():
     # the piece after the undecided one stays a constant of its own
     m, interp = parse_model(SUM_ORDER)
     t = translate_all(parse_lmu("mu X. (P \\/ <>X)"), m, interp, ("s",))["s"]
-    assert terms.render_term(t) == (
+    assert lmu.render_lmu(t) == (
         "mu x_1@s. (1/8*1 (+) 1/2*x_1@s (+) 1/4*1 \\/ 13/72*1 (+) 1/3*x_1@s (+) 1/4*1)"
     )
 
@@ -400,4 +400,4 @@ def test_sums_over_large_denominators_fold_to_direct_value(seed):
     interp = rand_interp(rng, m, max_den=1000)
     phi = rand_lmu(rng, depth=rng.randint(1, 3), fixed_point_free=True)
     expected = direct_value(phi, m, interp)
-    assert translate_all(phi, m, interp) == {s: terms.tconst(expected[s]) for s in m.states}
+    assert translate_all(phi, m, interp) == {s: lmu.constant(expected[s]) for s in m.states}
