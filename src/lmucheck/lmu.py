@@ -353,6 +353,9 @@ def expand_threshold(rel: str, phi: Lmu, q: Fraction | None = None) -> Lmu:
         P_=1(phi)  = nu X. (X (.) phi)
         P_>q(phi)  = P_>0(phi (.) (1-q)1)
         P_>=q(phi) = P_=1(phi (+) (1-q)1)
+
+    A check decides these over a one-step argument on 0/1 labels as state
+    sets, with any q: see `translator.BooleanFragment`.
     """
     fresh = next(fresh_names(used_names(phi)))
     if rel == ">0":

@@ -46,7 +46,8 @@ term denotes a value in [0, 1], which makes each rule exact:
   undecided operand, so 0 < q < 1, and then 1 is the only fixed point of
   min(1, x+q) and 0 the only one of max(0, x+q-1). These are the threshold
   macros of `lmu.expand_threshold` once their argument is decided, as in
-  every next-step PCTL operator on boolean labels;
+  the term `translate` prints for a next-step PCTL operator on boolean
+  labels;
 - the literals `1` and `0` are the constants 1 and 0;
 - propositions, co-propositions, deadlocked modalities (the empty join is
   0, the empty meet 1) and the per-distribution sums use the same rules. A
@@ -56,10 +57,12 @@ term denotes a value in [0, 1], which makes each rule exact:
 
 Strata: given an evaluator, as in a check, the walk solves each closed
 binder (`mu`/`nu` with no free variable), the root included, at each state
-it reaches, by one rule. A binder in the boolean fragment is decided by
-`BooleanFragment` as a set and folds as 1 or 0 at each state: its iterates
-on sets are 0/1 vectors that stay below (above, for `nu`) every fixed point
-over [0, 1]^S and settle within |S| steps, so they end at its value. Any
+it reaches, by one rule. A binder in the boolean fragment (every
+qualitative PCTL operator, and every next-step bound whatever its q, on
+boolean labels) is decided by `BooleanFragment` as a set and folds as 1 or
+0 at each state: its iterates on sets are 0/1 vectors that stay below
+(above, for `nu`) every fixed point over [0, 1]^S and settle within |S|
+steps, so they end at its value. Any
 other is expanded and its term evaluated. The value is kept in the memo
 under (node, {}, state), and the enclosing formula folds it like a label,
 as a state-labelling checker does with a nested `P` operator; a closed
@@ -91,6 +94,7 @@ re-expansion at states where the formula is already decided.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from . import lmu
 from .evaluator import InternalInvariantError, TermEvaluator
@@ -130,14 +134,20 @@ class BooleanFragment:
 
     The fragment holds propositions and complements whose labels are 0 or 1
     at every state, `0`, `1`, variables, `\\/`, `/\\`, `mu`/`nu` over a
-    fragment body, and the threshold macros `mu X. (X (+) psi)` = [psi > 0]
-    and `nu X. (X (.) psi)` = [psi = 1] with X not free in psi, where psi is
-    `<>phi`, `[]phi` or a fragment formula, or a `\\/`/`/\\` of these, and phi
-    is in the fragment. With phi the set A, `<>phi > 0` holds where some
-    distribution's support meets A and `<>phi = 1` where some support lies
-    inside A; `[]` reads "every" for "some", so a deadlock gives 0 under
-    `<>` and 1 under `[]`; `max` and `min` split into `or` and `and` of the
-    two sides. A binder iterates its body on sets from the empty set (the
+    fragment body, and the one-step thresholds of `lmu.expand_threshold`,
+    with X not free in psi: `mu X. (X (+) psi)` = [psi > 0],
+    `nu X. (X (.) psi)` = [psi >= 1], `mu X. (X (+) (psi (.) c))` = [psi > q]
+    and `nu X. (X (.) (psi (+) c))` = [psi >= q], for a constant node
+    c = (1-q)*1 on either side with 0 < q < 1. Here psi is `<>phi`, `[]phi`
+    or a fragment formula, or a `\\/`/`/\\` of these, and phi is in the
+    fragment. With phi the set A, a distribution passes `> 0` where its
+    support meets A, `>= 1` where its support lies inside A, and any other
+    bound where its mass on A, summed on integers over a common denominator,
+    clears it. `<>` needs some distribution to pass and `[]` every one, so a
+    deadlock gives 0 under `<>` and 1 under `[]`; `max` and `min` split into
+    `or` and `and` of the two sides, and a fragment operand passes where it
+    is 1, since 1 clears each of these bounds and 0 none. A binder iterates
+    its body on sets from the empty set (the
     full one for `nu`). Every rule is monotone and maps 0/1 vectors to 0/1
     vectors, so the iterates are 0/1, rise (fall for `nu`), settle within
     |S| steps, and stay below (above) every fixed point over [0, 1]^S: they
@@ -150,8 +160,11 @@ class BooleanFragment:
         self.m, self.interp = m, interp
         self.full = (1 << len(m.states)) - 1
         self.labels: dict[str, int] = {}  # boolean proposition -> its mask
-        # (state's bit, support mask) per distribution, built on first use
+        # per distribution, built on first use: (state's bit, support mask),
+        # and (state's bit, common denominator, (target's bit, numerator)
+        # per entry) for the bounds other than `> 0` and `>= 1`
         self.supports: list[tuple[int, int]] | None = None
+        self.masses: list[tuple[int, int, tuple[tuple[int, int], ...]]] | None = None
         self.closed: dict[lmu.Lmu, int] = {}
         self.decided: dict[lmu.Lmu, frozenset[str] | None] = {}
 
@@ -181,38 +194,50 @@ class BooleanFragment:
             self.labels[name] = mask
         return mask
 
-    def _step(self, node: lmu.Diamond | lmu.Box, env: dict[str, int], positive: bool) -> int:
-        """`[M phi > 0]` (`positive`) or `[M phi = 1]`, M the node's modality."""
-        supports = self.supports
-        if supports is None:
-            m = self.m
-            supports = self.supports = [
-                (1 << i, sum(1 << m.index[t] for t, _ in d.entries))
-                for i, s in enumerate(m.states)
-                for d in m.distributions(s)
-            ]
-        inner = self._value(node.body, env)
-        if type(node) is lmu.Diamond:  # some distribution hits
-            out = 0
-            for bit, d in supports:
-                if (d & inner if positive else d & inner == d):
-                    out |= bit
-        else:  # every distribution hits: drop a state one misses
-            out = self.full
-            for bit, d in supports:
-                if not (d & inner if positive else d & inner == d):
-                    out &= ~bit
-        return out
+    def _step(self, node: lmu.Diamond | lmu.Box, env: dict[str, int], q: Fraction, strict: bool) -> int:
+        """`[M phi > q]` (`strict`) or `[M phi >= q]`, M the node's modality."""
+        m, inner = self.m, self._value(node.body, env)
+        hit = miss = 0  # states with a distribution that passes / fails
+        if q is _ZERO or q is _ONE:  # `> 0`: the support meets inner; `>= 1`: it lies inside
+            if self.supports is None:
+                self.supports = [
+                    (1 << i, sum(1 << m.index[t] for t, _ in d.entries))
+                    for i, s in enumerate(m.states)
+                    for d in m.distributions(s)
+                ]
+            for bit, d in self.supports:
+                if d & inner if strict else d & inner == d:
+                    hit |= bit
+                else:
+                    miss |= bit
+        else:  # the mass on inner is total/den; compare it with q on integers
+            if self.masses is None:
+                self.masses = []
+                for i, s in enumerate(m.states):
+                    for d in m.distributions(s):
+                        den = lcm(*(w.denominator for _, w in d.entries))
+                        pieces = tuple((1 << m.index[t], w.numerator * (den // w.denominator)) for t, w in d.entries)
+                        self.masses.append((1 << i, den, pieces))
+            num, qden = q.numerator, q.denominator
+            for bit, den, pieces in self.masses:
+                over = sum(n for t, n in pieces if t & inner) * qden - num * den
+                if over > 0 or over == 0 and not strict:
+                    hit |= bit
+                else:
+                    miss |= bit
+        # `<>` needs some distribution to pass, `[]` every one: a deadlock,
+        # with none, gives 0 under `<>` and 1 under `[]`
+        return hit if type(node) is lmu.Diamond else self.full & ~miss
 
-    def _threshold(self, psi: lmu.Lmu, env: dict[str, int], positive: bool) -> int:
-        """`[psi > 0]` (`positive`) or `[psi = 1]`."""
+    def _threshold(self, psi: lmu.Lmu, env: dict[str, int], q: Fraction, strict: bool) -> int:
+        """`[psi > q]` (`strict`) or `[psi >= q]`, for a bound that 1 clears and 0 does not."""
         kind = type(psi)
         if kind is lmu.Diamond or kind is lmu.Box:
-            return self._step(psi, env, positive)
+            return self._step(psi, env, q, strict)
         if kind is lmu.Join:
-            return self._threshold(psi.left, env, positive) | self._threshold(psi.right, env, positive)
+            return self._threshold(psi.left, env, q, strict) | self._threshold(psi.right, env, q, strict)
         if kind is lmu.Meet:
-            return self._threshold(psi.left, env, positive) & self._threshold(psi.right, env, positive)
+            return self._threshold(psi.left, env, q, strict) & self._threshold(psi.right, env, q, strict)
         return self._value(psi, env)
 
     def _value(self, node: lmu.Lmu, env: dict[str, int]) -> int:
@@ -246,7 +271,15 @@ class BooleanFragment:
                 elif type(right) is lmu.Var and right.name == var:
                     psi = left
             if psi is not None and var not in psi.free:
-                result = self._threshold(psi, env, is_mu)
+                # `mu X. (X (+) (psi (.) c))` is [psi > 1-c] and `nu X. (X (.) (psi (+) c))`
+                # is [psi >= 1-c]; without c, the bound is `> 0` (`>= 1`), kept as `_ZERO` (`_ONE`)
+                q = _ZERO if is_mu else _ONE
+                if type(psi) is (lmu.OTimes if is_mu else lmu.OPlus):
+                    for c, rest in ((psi.right, psi.left), (psi.left, psi.right)):
+                        if _is_constant(c) and 0 < c.factor < 1:
+                            q, psi = 1 - c.factor, rest
+                            break
+                result = self._threshold(psi, env, q, is_mu)
             else:
                 result = 0 if is_mu else self.full
                 while True:

@@ -185,9 +185,84 @@ def test_boolean_fragment_matches_every_route():
         if source is not None:
             verdict = pctl_oracle(source, m, interp)
             assert reference == {s: Fraction(verdict[s]) for s in m.states}
-    # every qualitative formula, and nothing with a probability bound or a
-    # fractional scalar, is in the fragment
-    assert decided_roots == len(FRAGMENT) + 60
+    # every qualitative formula and every next-step probability bound is in
+    # the fragment; a bounded until or a fractional scalar is not
+    pctl_roots = sum(source is not None and not bounds_an_until(source) for _, source in corpus)
+    assert decided_roots == len(FRAGMENT) + pctl_roots
+
+
+def bounds_an_until(phi: pctl.PctlState) -> bool:
+    """Whether some `Pmax`/`Pmin` in phi has an until directly under it."""
+    if isinstance(phi, pctl.Not):
+        return bounds_an_until(phi.body)
+    if isinstance(phi, pctl.Or):
+        return bounds_an_until(phi.left) or bounds_an_until(phi.right)
+    if isinstance(phi, (pctl.Exists, pctl.Forall, pctl.ProbExists, pctl.ProbForall)):
+        path = phi.path
+        if isinstance(path, pctl.Next):
+            return bounds_an_until(path.body)
+        if isinstance(phi, (pctl.ProbExists, pctl.ProbForall)):
+            return True
+        return bounds_an_until(path.left) or bounds_an_until(path.right)
+    return False
+
+
+# s0's first distribution puts 1/2 on P1 and 3/8 on P2, s1's puts 3/8 on P1
+# and 1/4 on P2, and s3 is a deadlock: `> q` and `>= q` differ at q = 3/8,
+# 1/4 and 1/2, and `<>` is 0 and `[]` is 1 at s3
+THRESHOLD_MODEL = (
+    "state s0 s1 s2 s3\n"
+    "prop P1 = { s1: 1, s2: 1 }\n"
+    "prop P2 = { s2: 1, s3: 1 }\n"
+    "trans s0 -> { s0: 1/4, s1: 3/8, s2: 1/8, s3: 1/4 }\n"
+    "trans s0 -> { s1: 1/4, s3: 3/4 }\n"
+    "trans s1 -> { s0: 5/8, s2: 1/4, s1: 1/8 }\n"
+    "trans s2 -> { s2: 1/2, s0: 1/2 }\n"
+)
+NEXT_THRESHOLDS = [
+    *(f"{op}{rel}{q} [X P1]" for op in ("Pmax", "Pmin") for rel in (">", ">=") for q in ("1/4", "3/8", "1/2")),
+    "Pmax>=1/4 [X P2 & !P1]",
+    "Pmin>=1/2 [X !P2]",
+    "Pmax>=3/8 [X Pmin>1/4 [X P1]]",
+    "Pmin>1/4 [X E X P2]",
+    "Pmax>1/2 [X A [P1 U Pmin>=1/2 [X P2]]]",
+    "E [P1 U Pmax>=1/4 [X P2]]",
+    "A [!P2 U Pmax>1/4 [X P2]] | Pmin>=3/8 [X P1]",
+]
+# the macros as lmu writes them, with the constant on either side
+NEXT_MACROS = [
+    "mu X. (X (+) (<>P1 (.) 5/8*1))",
+    "mu X. ((3/4*1 (.) []P1) (+) X)",
+    "nu X. (X (.) (5/8*1 (+) []P1))",
+    "nu X. (((<>P2 \\/ []P1) (+) 3/4*1) (.) X)",
+    "mu X. (X (+) (1/2*1 (.) (<>P1 /\\ []~P2)))",
+    "nu Y. (P1 /\\ nu X. (X (.) (1/2*1 (+) <>Y)))",
+]
+
+
+def test_next_step_thresholds_are_decided_as_sets():
+    # a next-step bound other than `> 0` and `>= 1` is decided as a state
+    # set from each distribution's mass on the argument's set; where that
+    # mass equals the bound, `>` and `>=` differ, and at the deadlock s3
+    # `<>` gives 0 and `[]` gives 1
+    m, interp = parse_model(THRESHOLD_MODEL)
+    corpus = [(encode_pctl(parse_pctl(text)), parse_pctl(text)) for text in NEXT_THRESHOLDS]
+    corpus += [(parse_lmu(text), None) for text in NEXT_MACROS]
+    for phi, source in corpus:
+        decided = BooleanFragment(m, interp).states(phi)
+        assert decided is not None, lmu.render_lmu(phi)
+        out = model_check_lmu(phi, m, interp)
+        reference = {s: eval_term(t, {}).value for s, t in translate_all(phi, m, interp).items()}
+        assert out.values == reference and out.iterations == 0
+        assert decided == {s for s, v in reference.items() if v == 1}, lmu.render_lmu(phi)
+        if source is not None:
+            assert decided == {s for s, v in pctl_oracle(source, m, interp).items() if v}
+    # a bounded until stays outside the fragment, and the next-step bound
+    # inside it is a closed binder the walk decides as a set
+    source = parse_pctl("Pmax>=1/2 [P1 U Pmin>1/4 [X P2]]")
+    assert BooleanFragment(m, interp).states(encode_pctl(source)) is None
+    verdict = pctl_oracle(source, m, interp)
+    assert model_check_pctl(source, m, interp).values == {s: Fraction(v) for s, v in verdict.items()}
 
 
 def test_fractional_labels_keep_the_term_route():

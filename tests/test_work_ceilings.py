@@ -1,5 +1,6 @@
 """Hard cases as counted work: values against the closed forms of
-`families.py` and the loop iterations a check runs, as exact counts.
+`families.py` or the oracle, and the loop iterations a check runs or the
+calls it makes, as exact counts.
 
 Iteration counts repeat exactly from run to run, so each ceiling is the
 count itself, with no margin for noise. A change that lowers one lowers the
@@ -8,10 +9,19 @@ ceiling with it; a change that raises one changes the check, and says so.
 at N = 9, 400 at N = 10), so N = 9 keeps the case under a second.
 """
 
+import random
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 
 from families import ruin_cases
-from lmucheck.checking import model_check_lmu
+from generators import rand_bool_interp, rand_model_exact
+from lmucheck import lmu
+from lmucheck.checking import model_check_lmu, model_check_pctl
+from lmucheck.evaluator import TermEvaluator
+from lmucheck.oracle import pctl_oracle
+from lmucheck.parser import parse_pctl
 
 
 @pytest.mark.parametrize("kind, n, iterations", [("<>", 9, 208), ("[]", 32, 465), ("dtmc", 32, 465)])
@@ -20,3 +30,24 @@ def test_ruin_values_within_counted_iterations(kind, n, iterations):
     out = model_check_lmu(phi, m, interp)
     assert out.values == exact
     assert out.iterations == iterations
+
+
+def test_next_step_bounds_run_no_walk(monkeypatch):
+    # the boolean fragment decides next-step bounds other than `> 0` and
+    # `>= 1` from each distribution's mass, so a nested next-step check at
+    # 200 states neither renames binders for the walk nor evaluates a term
+    rng = random.Random("next-step bounds")
+    m = rand_model_exact(rng, 200)
+    interp = rand_bool_interp(rng, m)
+    phi = parse_pctl("Pmax>=3/8 [X Pmin>1/4 [X P1]]")
+    calls = Counter()
+    for owner, name in ((lmu, "normalize_binders"), (TermEvaluator, "value")):
+
+        def counted(*args, _original=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    out = model_check_pctl(phi, m, interp)
+    assert calls == Counter()
+    assert out.values == {s: Fraction(v) for s, v in pctl_oracle(phi, m, interp).items()}
