@@ -3,8 +3,10 @@
 Probability comparisons become threshold macros, path quantifiers become
 fixed points over the underlying graph, and `A`-style next/until steps use
 the totalized box `[]phi /\\ <>1`, which is 0 at deadlocks and agrees with
-`[]phi` elsewhere. Boundary thresholds collapse to constants: `>= 0` is
-always true, `> 1` never, and `>= 1` means probability exactly 1.
+`[]phi` elsewhere. A bound's macro, boundary bounds included, is
+`lmu.expand_threshold`'s. Since `lmu.dual` maps the constant `q*1` to
+`(1-q)*1`, `!` over a bound gives the complementary macro and `a & b`, read
+as `!(!a | !b)`, gives the `/\\` of the two encodings.
 """
 
 from __future__ import annotations
@@ -18,20 +20,6 @@ __all__ = ["encode_pctl"]
 
 def _boxdot(phi: lmu.Lmu) -> lmu.Lmu:
     return lmu.Meet(lmu.Box(phi), lmu.Diamond(lmu.ONE))
-
-
-def _threshold(strict: bool, q: Fraction, body: lmu.Lmu) -> lmu.Lmu:
-    if strict:
-        if q == 0:
-            return lmu.expand_threshold(">0", body)
-        if q == 1:
-            return lmu.ZERO
-        return lmu.expand_threshold(">", body, q)
-    if q == 0:
-        return lmu.ONE
-    if q == 1:
-        return lmu.expand_threshold("=1", body)
-    return lmu.expand_threshold(">=", body, q)
 
 
 def _until_loop(goal: lmu.Lmu, guard: lmu.Lmu, step) -> lmu.Lmu:
@@ -52,10 +40,13 @@ def encode_pctl(phi: pctl.PctlState) -> lmu.Lmu:
     if isinstance(phi, pctl.Not):
         return lmu.dual(encode_pctl(phi.body))
     if isinstance(phi, (pctl.Exists, pctl.Forall)):
-        rel, modality = (">0", lmu.Diamond) if isinstance(phi, pctl.Exists) else ("=1", _boxdot)
+        # `E` is the bound `> 0` over `<>`, `A` the bound `>= 1` over `[]`
+        strict, q, modality = (
+            (True, Fraction(0), lmu.Diamond) if isinstance(phi, pctl.Exists) else (False, Fraction(1), _boxdot)
+        )
 
         def step(x: lmu.Lmu) -> lmu.Lmu:
-            return lmu.expand_threshold(rel, modality(x))
+            return lmu.expand_threshold(strict, q, modality(x))
 
         path = phi.path
         if isinstance(path, pctl.Next):
@@ -68,5 +59,5 @@ def encode_pctl(phi: pctl.PctlState) -> lmu.Lmu:
             body = modality(encode_pctl(path.body))
         else:
             body = _until_loop(encode_pctl(path.right), encode_pctl(path.left), modality)
-        return _threshold(phi.strict, phi.bound, body)
+        return lmu.expand_threshold(phi.strict, phi.bound, body)
     raise TypeError(f"not a PCTL state formula: {phi!r}")

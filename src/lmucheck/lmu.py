@@ -309,9 +309,11 @@ def dual(phi: Lmu) -> Lmu:
 
     Defined on closed formulas only. Connectives swap with their duals,
     propositions with their complements, 1 with 0, and binders flip while
-    keeping their names. A scalar `q phi` maps to `(q dual(phi)) (+) (1-q)1`,
-    which equals 1 - q*v without ever saturating (the sum stays within
-    [0, 1]).
+    keeping their names. A constant `q*1` maps to `(1-q)*1`; any other
+    scalar `q phi` maps to `(q dual(phi)) (+) (1-q)1`, which equals
+    1 - q*v without ever saturating (the sum stays within [0, 1]). So
+    `dual(dual(phi)) is phi` for every formula whose scalars are constants,
+    such as every PCTL encoding.
     """
     if phi.free:
         raise ValueError(f"dual is defined on closed formulas; free: {list(phi.free)}")
@@ -337,38 +339,35 @@ def _dual(phi: Lmu) -> Lmu:
     if kind is Const:
         return ZERO if phi.value else ONE
     if kind is Scalar:
+        if phi.body is ONE:
+            return constant(1 - phi.factor)
         return OPlus(Scalar(phi.factor, _dual(phi.body)), constant(1 - phi.factor))
     if kind is Mu or kind is Nu:
         return (Nu if kind is Mu else Mu)(phi.var, _dual(phi.body))
     raise TypeError(f"not a formula: {phi!r}")
 
 
-def expand_threshold(rel: str, phi: Lmu, q: Fraction | None = None) -> Lmu:
-    """Threshold macro: value 1 where value(phi) clears the bound, else 0.
+def expand_threshold(strict: bool, q: Fraction, phi: Lmu) -> Lmu:
+    """Threshold macro of PCTL's bound `> q` (`strict`) or `>= q`, q in [0, 1]:
+    value 1 where value(phi) clears the bound, else 0.
 
-    rel is one of `>0`, `=1`, `>`, `>=`; the last two take q in (0, 1)
-    (boundary values of q are the caller's duty):
+        [phi > 0]  = mu X. (X (+) phi)
+        [phi >= 1] = nu X. (X (.) phi)
+        [phi > q]  = mu X. (X (+) (phi (.) (1-q)1))     for 0 < q < 1
+        [phi >= q] = nu X. (X (.) (phi (+) (1-q)1))     for 0 < q < 1
 
-        P_>0(phi)  = mu X. (X (+) phi)
-        P_=1(phi)  = nu X. (X (.) phi)
-        P_>q(phi)  = P_>0(phi (.) (1-q)1)
-        P_>=q(phi) = P_=1(phi (+) (1-q)1)
-
-    A check decides these over a one-step argument on 0/1 labels as state
-    sets, with any q: see `translator.BooleanFragment`.
+    No value clears `> 1` and every value clears `>= 0`: those fold to
+    `ZERO` and `ONE`. A check decides these over a one-step argument on 0/1
+    labels as state sets, with any q: see `translator.BooleanFragment`.
     """
+    if not 0 <= q <= 1:
+        raise ValueError(f"probability bound {q} outside [0, 1]")
+    if q == (1 if strict else 0):
+        return ZERO if strict else ONE
     fresh = next(fresh_names(used_names(phi)))
-    if rel == ">0":
-        return Mu(fresh, OPlus(Var(fresh), phi))
-    if rel == "=1":
-        return Nu(fresh, OTimes(Var(fresh), phi))
-    if q is None or not (0 < q < 1):
-        raise ValueError(f"threshold {rel} requires q in (0, 1), got {q}")
-    if rel == ">":
-        return Mu(fresh, OPlus(Var(fresh), OTimes(phi, constant(1 - q))))
-    if rel == ">=":
-        return Nu(fresh, OTimes(Var(fresh), OPlus(phi, constant(1 - q))))
-    raise ValueError(f"unknown threshold relation {rel!r}")
+    if strict:
+        return Mu(fresh, OPlus(Var(fresh), phi if q == 0 else OTimes(phi, constant(1 - q))))
+    return Nu(fresh, OTimes(Var(fresh), phi if q == 1 else OPlus(phi, constant(1 - q))))
 
 
 def normalize_binders(phi: Lmu) -> Lmu:

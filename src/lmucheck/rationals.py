@@ -50,7 +50,7 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def approx_decimal(q: Fraction, digits: int = 6) -> str:
-    """Decimal approximation for display only, never fed back into computation."""
-    return f"{float(q):.{digits}g}"
+def approx_decimal(q: Fraction) -> str:
+    """Decimal approximation to 6 significant digits, for display only, never fed back into computation."""
+    return f"{float(q):.6g}"
 

@@ -93,7 +93,9 @@ def test_threshold_semantics():
             phi = rand_lmu(rng, depth=rng.randint(0, 2))
             rel = rng.choice([">0", "=1", ">", ">="])
             q = F(rng.randint(1, 7), 8) if rel in (">", ">=") else None
-            wrapped = lmu.expand_threshold(rel, phi, q)
+            strict = rel in (">0", ">")
+            bound = {">0": F(0), "=1": F(1)}.get(rel, q)
+            wrapped = lmu.expand_threshold(strict, bound, phi)
             base = model_check_lmu(phi, m, interp).values
             gated = model_check_lmu(wrapped, m, interp).values
             for s in m.states:

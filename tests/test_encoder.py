@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from generators import rand_bool_interp, rand_model, rand_pctl
 from lmucheck import lmu, pctl
@@ -70,7 +72,7 @@ def test_encode_not_true_is_zero():
 
 def test_encode_exists_next():
     phi = encode_pctl(parse_pctl("E X P"))
-    assert phi == lmu.expand_threshold(">0", lmu.Diamond(lmu.Prop("P")))
+    assert phi == lmu.expand_threshold(True, F(0), lmu.Diamond(lmu.Prop("P")))
 
 
 def test_encode_forall_next_uses_totalized_box():
@@ -162,6 +164,33 @@ def test_encoded_shape_confines_strong_connectives():
     for _ in range(150):
         phi = encode_pctl(rand_pctl(rng, depth=rng.randint(0, 3)))
         check_threshold_shape(phi)
+
+
+def test_dual_is_an_involution_on_encodings():
+    # `dual` maps the constant `q*1` to `(1-q)*1`, so twice gives the node back
+    golden = json.loads(Path(__file__).with_name("golden_cli_outputs.json").read_text(encoding="utf-8"))
+    rng = random.Random(97)
+    corpus = [parse_pctl(case["argv"][2]) for case in golden if case["argv"][0] == "encode"]
+    corpus += [rand_pctl(rng, depth=rng.randint(0, 3)) for _ in range(150)]
+    for phi in corpus:
+        e = encode_pctl(phi)
+        assert lmu.dual(lmu.dual(e)) is e, pctl.render_pctl(phi)
+
+
+def test_conjunction_of_bounds_encodes_to_meet():
+    # `a & b` parses as `!(!a | !b)`; its encoding is the meet of the two
+    rng = random.Random(101)
+
+    def bounded() -> pctl.PctlState:
+        while True:
+            phi = rand_pctl(rng, depth=rng.randint(1, 3))
+            if isinstance(phi, (pctl.ProbExists, pctl.ProbForall)):
+                return phi
+
+    for _ in range(100):
+        a, b = pctl.render_pctl(bounded()), pctl.render_pctl(bounded())
+        meet = lmu.Meet(encode_pctl(parse_pctl(a)), encode_pctl(parse_pctl(b)))
+        assert encode_pctl(parse_pctl(f"{a} & {b}")) is meet, (a, b)
 
 
 def test_encoded_values_are_boolean_on_boolean_models():

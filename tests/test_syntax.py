@@ -398,11 +398,11 @@ def test_dual_double_application_keeps_value():
 
 def test_threshold_shapes():
     p = lmu.Prop("P")
-    gt0 = lmu.expand_threshold(">0", p)
+    gt0 = lmu.expand_threshold(True, Fraction(0), p)
     assert isinstance(gt0, lmu.Mu)
     assert gt0.body == lmu.OPlus(lmu.Var(gt0.var), p)
 
-    geq = lmu.expand_threshold(">=", p, Fraction(1, 2))
+    geq = lmu.expand_threshold(False, Fraction(1, 2), p)
     assert isinstance(geq, lmu.Nu)
     assert geq.body == lmu.OTimes(
         lmu.Var(geq.var), lmu.OPlus(p, lmu.constant(Fraction(1, 2)))
@@ -411,20 +411,23 @@ def test_threshold_shapes():
 
 def test_threshold_fresh_variable_avoids_collisions():
     p = lmu.Mu("_T1", lmu.Join(lmu.Prop("P"), lmu.Var("_T1")))
-    wrapped = lmu.expand_threshold(">0", p)
+    wrapped = lmu.expand_threshold(True, Fraction(0), p)
     assert wrapped.var != "_T1"
 
 
-def test_threshold_rejects_boundary_q():
-    with pytest.raises(ValueError):
-        lmu.expand_threshold(">", lmu.Prop("P"), Fraction(0))
-    with pytest.raises(ValueError):
-        lmu.expand_threshold(">=", lmu.Prop("P"), Fraction(1))
+def test_threshold_folds_boundary_q():
+    # no value clears `> 1`, every value clears `>= 0`
+    assert lmu.expand_threshold(True, Fraction(1), lmu.Prop("P")) is lmu.ZERO
+    assert lmu.expand_threshold(False, Fraction(0), lmu.Prop("P")) is lmu.ONE
+    for strict in (True, False):
+        for q in (Fraction(-1, 2), Fraction(3, 2)):
+            with pytest.raises(ValueError, match="outside"):
+                lmu.expand_threshold(strict, q, lmu.Prop("P"))
 
 
 def test_threshold_eq_one_of_one_is_one():
     m, interp = parse_model("state s0")
-    out = model_check_lmu(lmu.expand_threshold("=1", lmu.ONE), m, interp)
+    out = model_check_lmu(lmu.expand_threshold(False, Fraction(1), lmu.ONE), m, interp)
     assert out.values["s0"] == 1
 
 

@@ -191,9 +191,9 @@ X_S = lmu.Var(term_var(1, "s"))
 HALF_X = lmu.Mu(term_var(1, "s"), lmu.Scalar(F(1, 2), X_S))  # mu x. 1/2*x
 
 
-def threshold(rel, arg, q=None):
-    """The text of `lmu.expand_threshold(rel, arg, q)`."""
-    return lmu.render_lmu(lmu.expand_threshold(rel, parse_lmu(arg), q))
+def threshold(strict, q, arg):
+    """The text of `lmu.expand_threshold(strict, q, arg)`."""
+    return lmu.render_lmu(lmu.expand_threshold(strict, q, parse_lmu(arg)))
 
 
 @pytest.mark.parametrize(
@@ -244,24 +244,24 @@ def threshold(rel, arg, q=None):
         ("[]~C", "s", F(5, 8)),
         # thresholds over a decided argument: `mu x. (x (+) q*1)` is 1 and
         # `nu x. (x (.) q*1)` is 0 for 0 < q < 1, constant on either side
-        (threshold(">0", "A"), "s", F(1)),
-        (threshold(">0", "<>A"), "s", F(1)),
-        (threshold(">0", "No"), "s", F(0)),
-        (threshold("=1", "A"), "s", F(0)),
-        (threshold("=1", "<>C"), "s", F(0)),
-        (threshold("=1", "Yes"), "s", F(1)),
+        (threshold(True, F(0), "A"), "s", F(1)),
+        (threshold(True, F(0), "<>A"), "s", F(1)),
+        (threshold(True, F(0), "No"), "s", F(0)),
+        (threshold(False, F(1), "A"), "s", F(0)),
+        (threshold(False, F(1), "<>C"), "s", F(0)),
+        (threshold(False, F(1), "Yes"), "s", F(1)),
         ("mu X. (C (+) X)", "s", F(1)),
         ("mu X. (X (+) C)", "s", F(1)),
         ("nu X. (C (.) X)", "s", F(0)),
         ("nu X. (X (.) C)", "s", F(0)),
         # the argument B = 1/2 at q, just below q (q = 51/100) and just above
         # it (q = 49/100)
-        (threshold(">", "B", F(1, 2)), "s", F(0)),
-        (threshold(">", "B", F(51, 100)), "s", F(0)),
-        (threshold(">", "B", F(49, 100)), "s", F(1)),
-        (threshold(">=", "B", F(1, 2)), "s", F(1)),
-        (threshold(">=", "B", F(51, 100)), "s", F(0)),
-        (threshold(">=", "B", F(49, 100)), "s", F(1)),
+        (threshold(True, F(1, 2), "B"), "s", F(0)),
+        (threshold(True, F(51, 100), "B"), "s", F(0)),
+        (threshold(True, F(49, 100), "B"), "s", F(1)),
+        (threshold(False, F(1, 2), "B"), "s", F(1)),
+        (threshold(False, F(51, 100), "B"), "s", F(0)),
+        (threshold(False, F(49, 100), "B"), "s", F(1)),
     ],
 )
 def test_fold_rules(text, state, expected):

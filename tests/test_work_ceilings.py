@@ -19,6 +19,7 @@ from families import ruin_cases
 from generators import rand_bool_interp, rand_model_exact
 from lmucheck import lmu
 from lmucheck.checking import model_check_lmu, model_check_pctl
+from lmucheck.encoder import encode_pctl
 from lmucheck.evaluator import TermEvaluator
 from lmucheck.oracle import pctl_oracle
 from lmucheck.parser import parse_pctl
@@ -39,7 +40,6 @@ def test_next_step_bounds_run_no_walk(monkeypatch):
     rng = random.Random("next-step bounds")
     m = rand_model_exact(rng, 200)
     interp = rand_bool_interp(rng, m)
-    phi = parse_pctl("Pmax>=3/8 [X Pmin>1/4 [X P1]]")
     calls = Counter()
     for owner, name in ((lmu, "normalize_binders"), (TermEvaluator, "value")):
 
@@ -48,6 +48,25 @@ def test_next_step_bounds_run_no_walk(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(owner, name, counted)
-    out = model_check_pctl(phi, m, interp)
-    assert calls == Counter()
-    assert out.values == {s: Fraction(v) for s, v in pctl_oracle(phi, m, interp).items()}
+    # `!` and `&` over a bound encode to the complementary bound and a meet
+    for text in ("Pmax>=3/8 [X Pmin>1/4 [X P1]]", "!Pmax>=3/8 [X P1] & Pmin>1/4 [X !P1]", _ladder(8)):
+        phi = parse_pctl(text)
+        out = model_check_pctl(phi, m, interp)
+        assert calls == Counter(), text
+        assert out.values == {s: Fraction(v) for s, v in pctl_oracle(phi, m, interp).items()}, text
+
+
+def _ladder(depth: int) -> str:
+    """`P2 | P1 & (...)` nested depth deep around `Pmin>1/3 [X P1]`."""
+    text = "Pmin>1/3 [X P1]"
+    for _ in range(depth):
+        text = f"P2 | P1 & ({text})"
+    return text
+
+
+def test_conjunction_ladder_encodes_linearly():
+    # each `&` dualises the bound below it twice; `dual(q*1) = (1-q)*1` gives
+    # the bound back, so a level adds its four nodes `P2 \/ P1 /\ (...)`
+    for depth in range(9):
+        phi = encode_pctl(parse_pctl(_ladder(depth)))
+        assert sum(1 for _ in lmu.subformulas(phi)) == 11 + 4 * depth
