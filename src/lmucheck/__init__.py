@@ -27,7 +27,6 @@ from .oracle import (
     kleene_lmu,
     kleene_term,
     pctl_oracle,
-    solve_chain_until,
     until_prob_md,
 )
 from .parser import ParseError, parse_lmu, parse_pctl, parse_term

@@ -68,7 +68,7 @@ __all__ = [
     "render_lin_expr",
 ]
 
-DEFAULT_LOOP_CAP = 1_000_000
+MAX_LOOP_ITERATIONS = 1_000_000  # iterations of one fixed-point loop
 
 Coeffs = tuple[tuple[int, int], ...]  # (slot, integer coefficient), slot-ascending, no zeros
 
@@ -295,8 +295,7 @@ class TermEvaluator:
     costs far less than evaluating them in isolation.
     """
 
-    def __init__(self, max_loop_iterations: int = DEFAULT_LOOP_CAP):
-        self.max_loop_iterations = max_loop_iterations
+    def __init__(self):
         self.loop_iterations = 0
         self._cache: dict[tuple, list[tuple[tuple[Inequality, ...], Row]]] = {}
 
@@ -467,7 +466,7 @@ class TermEvaluator:
         carried: set[Inequality] = set()  # the loop's constraint set D
         approx = ZERO if is_mu else ONE
         try:
-            for _ in range(self.max_loop_iterations):
+            for _ in range(MAX_LOOP_ITERATIONS):
                 self.loop_iterations += 1
                 self._set_value(slot, approx)
                 num, den = self._values[slot]
@@ -538,7 +537,7 @@ class TermEvaluator:
                 carried.update(relations)
                 approx = expr.substitute(slot, chosen)
             raise InternalInvariantError(
-                f"fixed-point loop exceeded {self.max_loop_iterations} iterations"
+                f"fixed-point loop exceeded {MAX_LOOP_ITERATIONS} iterations"
             )
         finally:
             self._values.pop()
@@ -560,13 +559,9 @@ class TermEvaluator:
         return conds, expr
 
 
-def eval_term(
-    term: lmu.Lmu,
-    point: Mapping[str, Fraction],
-    max_loop_iterations: int = DEFAULT_LOOP_CAP,
-) -> EvalResult:
+def eval_term(term: lmu.Lmu, point: Mapping[str, Fraction]) -> EvalResult:
     """Evaluate a term at a point covering its free variables."""
-    return TermEvaluator(max_loop_iterations).evaluate(term, point)
+    return TermEvaluator().evaluate(term, point)
 
 
 def render_lin_expr(e: LinExpr, names: Sequence[str]) -> str:

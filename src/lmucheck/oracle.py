@@ -4,9 +4,10 @@ A direct PCTL model checker over finite models: boolean connectives by set
 operations, path quantifiers by graph fixed points over the distributions,
 probabilistic next by optimizing over the available distributions, and
 probabilistic until by Howard policy iteration over memoryless deterministic
-schedulers, each induced chain solved exactly (qualitative preprocessing
-plus Gaussian elimination over rationals). Entirely separate from the
-fixed-point evaluation pipeline it validates.
+schedulers: per scheduler, a reachability pass finds the states with
+positive value, and sparse Gauss-Jordan elimination over rationals solves
+their linear system exactly. Entirely separate from the fixed-point
+evaluation pipeline it validates.
 
 Also hosts Kleene iteration: approximating fixed points from 0 upward (mu)
 and from 1 downward (nu), innermost first, with exact stabilization
@@ -34,8 +35,6 @@ __all__ = [
     "next_prob",
     "until_prob_md",
     "prob_operator_values",
-    "chain_of",
-    "solve_chain_until",
     "solve_linear_system",
     "direct_value",
     "KleeneOutcome",
@@ -47,29 +46,45 @@ DEFAULT_KLEENE_BUDGET = 10_000
 
 
 class OracleError(ValueError):
-    """Unusable oracle input (non-boolean valuation, malformed chain)."""
+    """Unusable oracle input (non-boolean valuation, singular linear system)."""
 
 
 # -- exact linear algebra -----------------------------------------------------
 
 
-def solve_linear_system(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve A x = b by Gaussian elimination over rationals; A must be square."""
-    n = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+def solve_linear_system(rows: list[dict[int, Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """Solve A x = b over rationals; A must be square.
+
+    Row i of A is a `{column: value}` dict with zeros omitted. Gauss-Jordan
+    elimination stores and visits only nonzero entries; the pivot of a
+    column is the first row at or below it that has the column. A pivot
+    row drops its diagonal entry, 1 once scaled, so its column never
+    reappears.
+    """
+    n = len(rows)
+    a = [{j: v for j, v in row.items() if v} for row in rows]
+    b = list(rhs)
     for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if col in a[r]), None)
         if pivot is None:
             raise OracleError("singular linear system")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
+        a[col], a[pivot] = a[pivot], a[col]
+        b[col], b[pivot] = b[pivot], b[col]
+        inv = Fraction(1) / a[col].pop(col)
+        pivot_row = a[col] = {j: v * inv for j, v in a[col].items()}
+        x = b[col] = b[col] * inv
+        for row_index, row in enumerate(a):
+            if col not in row:
+                continue
+            factor = row.pop(col)
+            for j, w in pivot_row.items():
+                v = row.get(j, 0) - factor * w
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+            b[row_index] -= factor * x
+    return b
 
 
 # -- graph fixed points -------------------------------------------------------
@@ -95,57 +110,11 @@ def _attractor(m: Pnts, s1, s2, each_dist, each_succ) -> frozenset[str]:
     return frozenset(found)
 
 
-# -- chains and schedulers ----------------------------------------------------
+# -- schedulers ---------------------------------------------------------------
 
 
 def _expectation(d: Distribution, values: Mapping[str, Fraction]) -> Fraction:
     return sum((w * values[t] for t, w in d.entries), Fraction(0))
-
-
-def chain_of(m: Pnts, choice: Mapping[str, int]) -> Pnts:
-    """The chain induced by a scheduler: one distribution per non-deadlock state."""
-    transitions = {s: (m.distributions(s)[choice[s]],) for s in choice}
-    return Pnts(m.states, transitions)
-
-
-def solve_chain_until(chain: Pnts, s1: frozenset[str], s2: frozenset[str]) -> dict[str, Fraction]:
-    """Probability of reaching s2 through s1, per state, for a fixed chain.
-
-    Value 1 on s2; value 0 on states that cannot reach s2 while staying in
-    s1; the remaining states solve x_s = sum_t d(t) x_t exactly. Removing
-    the zero states first makes the system nonsingular, and the solution is
-    the least one, the probability of the until event.
-    """
-    for s in chain.states:
-        dists = chain.distributions(s)
-        if len(dists) > 1 and s in s1 and s not in s2:
-            raise OracleError(f"state {s} has {len(dists)} distributions; not a chain")
-    reach = _attractor(chain, s1, s2, any, any)
-    unknown = [s for s in chain.states if s in reach and s not in s2]
-    index = {s: i for i, s in enumerate(unknown)}
-    matrix: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for s in unknown:
-        row = [Fraction(0)] * len(unknown)
-        row[index[s]] = Fraction(1)
-        b = Fraction(0)
-        for t, w in chain.distributions(s)[0].entries:
-            if t in s2:
-                b += w
-            elif t in index:
-                row[index[t]] -= w
-        matrix.append(row)
-        rhs.append(b)
-    solved = solve_linear_system(matrix, rhs) if unknown else []
-    result: dict[str, Fraction] = {}
-    for s in chain.states:
-        if s in s2:
-            result[s] = Fraction(1)
-        elif s in index:
-            result[s] = solved[index[s]]
-        else:
-            result[s] = Fraction(0)
-    return result
 
 
 def until_prob_md(
@@ -154,27 +123,49 @@ def until_prob_md(
     """Extremal until probabilities over all schedulers, by policy iteration.
 
     Memoryless deterministic schedulers attain both extremes. Starting from
-    distribution 0 everywhere, each round solves the induced chain exactly
-    and switches every s1 state outside s2 to a distribution that does
-    strictly better on those values; ties keep the current choice, so the
-    rounds terminate and the result is deterministic. For `min`, s1 first
-    shrinks to the states from which every scheduler reaches s2 with
-    positive probability: the others have value 0, and without them every
-    induced chain leaves s1 outside s2 with probability 1, so the min
-    equations have one solution and the iteration cannot stall above it.
+    distribution 0 everywhere, each round solves the chain that the choice
+    induces exactly, then switches every s1 state outside s2 to a
+    distribution that does strictly better on those values; ties keep the
+    current choice, so the rounds terminate and the result is deterministic.
+
+    On the chain, the value is 1 on s2 and 0 on states that cannot reach s2
+    while staying in s1; the remaining states solve x_s = sum_t d(t) x_t
+    exactly. Removing the zero states first makes the system nonsingular,
+    and the solution is the least one, the probability of the until event.
+
+    For `min`, s1 first shrinks to the states from which every scheduler
+    reaches s2 with positive probability: the others have value 0, and
+    without them every induced chain leaves s1 outside s2 with probability
+    1, so the min equations have one solution and the iteration cannot
+    stall above it.
     """
     if mode not in ("max", "min"):
         raise ValueError(f"mode must be max or min, got {mode!r}")
     if mode == "min":
         s1 = _attractor(m, s1, s2, all, any)
     better = operator.gt if mode == "max" else operator.lt
-    choice = {s: 0 for s in m.states if m.distributions(s)}
+    choice = {s: 0 for s in m.states if s in s1 and s not in s2 and m.distributions(s)}
     while True:
-        values = solve_chain_until(chain_of(m, choice), s1, s2)
+        picked = {s: m.distributions(s)[i] for s, i in choice.items()}
+        reach = _attractor(Pnts(m.states, {s: (d,) for s, d in picked.items()}), s1, s2, any, any)
+        unknown = [s for s in m.states if s in reach and s not in s2]
+        index = {s: i for i, s in enumerate(unknown)}
+        rows: list[dict[int, Fraction]] = []
+        rhs: list[Fraction] = []
+        for s in unknown:
+            row = {index[s]: Fraction(1)}
+            b = Fraction(0)
+            for t, w in picked[s].entries:
+                if t in s2:
+                    b += w
+                elif t in index:
+                    row[index[t]] = row.get(index[t], 0) - w
+            rows.append(row)
+            rhs.append(b)
+        solved = dict(zip(unknown, solve_linear_system(rows, rhs)))
+        values = {s: Fraction(1) if s in s2 else solved.get(s, Fraction(0)) for s in m.states}
         switched = False
         for s in choice:
-            if s not in s1 or s in s2:
-                continue
             dists = m.distributions(s)
             best = _expectation(dists[choice[s]], values)
             for i, d in enumerate(dists):

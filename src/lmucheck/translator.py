@@ -103,6 +103,8 @@ from .model import Interpretation, Pnts
 __all__ = ["BooleanFragment", "TranslationError", "term_var", "translate_all"]
 
 
+MAX_STEPS = 1_000_000  # expansions one `translate_all` call may make
+
 _ONE, _ZERO = Fraction(1), Fraction(0)
 _CLOSED: frozenset[tuple[int, str]] = frozenset()  # the context a closed node reads
 
@@ -361,7 +363,6 @@ def translate_all(
     interp: Interpretation,
     states: tuple[str, ...] | None = None,
     *,
-    max_steps: int = 1_000_000,
     evaluator: TermEvaluator | None = None,
 ) -> dict[str, Folded]:
     """Each requested state's closed term, or with an `evaluator` its
@@ -459,8 +460,8 @@ def translate_all(
         if hit is not None:
             return hit
         steps[0] += 1
-        if steps[0] > max_steps:
-            raise TranslationError(f"translation exceeded {max_steps} steps")
+        if steps[0] > MAX_STEPS:
+            raise TranslationError(f"translation exceeded {MAX_STEPS} steps")
         if isinstance(node, lmu.Var):
             i = number[node.name]
             if (i, s) in gamma:

@@ -445,7 +445,7 @@ def refused(call, error):
     return run
 
 
-def test_checks_leave_no_cyclic_garbage():
+def test_checks_leave_no_cyclic_garbage(monkeypatch):
     # what a check builds (model, interpretation, memo tables) is freed by
     # reference counting when the call returns or raises, not by the cyclic
     # collector
@@ -458,13 +458,17 @@ def test_checks_leave_no_cyclic_garbage():
         "trans s1 -> { s0: 1/3, s2: 2/3 }\n"
     )
     phi = parse_pctl("E [P1 U Pmax>=1/2 [P1 U P2]]")
+
+    def over_budget():
+        with monkeypatch.context() as patch:
+            patch.setattr("lmucheck.translator.MAX_STEPS", 2)
+            translate_all(encode_pctl(phi), m, interp)
+
     calls = {
         "model_check_pctl": lambda: model_check_pctl(phi, m, interp),
         "pctl_oracle": lambda: pctl_oracle(phi, m, interp),
         "kleene_lmu": lambda: kleene_lmu(encode_pctl(phi), m, interp),
-        "translate_all over budget": refused(
-            lambda: translate_all(encode_pctl(phi), m, interp, max_steps=2), TranslationError
-        ),
+        "translate_all over budget": refused(over_budget, TranslationError),
         "kleene_lmu on a free variable": refused(
             lambda: kleene_lmu(lmu.Var("X"), m, interp), OracleError
         ),

@@ -413,9 +413,10 @@ def test_eval_errors():
         eval_term(lmu.Var("x"), {"x": F(3, 2)})
 
 
-def test_iteration_cap_reports_internal_error():
+def test_iteration_cap_reports_internal_error(monkeypatch):
+    monkeypatch.setattr("lmucheck.evaluator.MAX_LOOP_ITERATIONS", 1)
     with pytest.raises(InternalInvariantError, match="iterations"):
-        eval_term(parse_term(WORKED_EXAMPLE), {}, max_loop_iterations=1)
+        eval_term(parse_term(WORKED_EXAMPLE), {})
 
 
 def test_extra_point_variables_are_ambient():

@@ -5,7 +5,9 @@ The sizes are those that finish in a blink today: `<>` on ruin-N grows
 blow-up at N >= 10 that waits for irredundant loop results. The PCTL forms
 on ruin-N stop at N = 6: the `Pmax` forms at every inner state take 120 loop
 iterations there, 672 at N = 7 and 1,428 (about a second) at N = 8, a size
-that belongs to the benchmark's ladders.
+that belongs to the benchmark's ladders. The oracle's policy iteration
+alone solves ruin-N at N = 32, 64 and 128, one sparse exact system per
+round.
 """
 
 from fractions import Fraction
@@ -29,6 +31,13 @@ def test_ruin_matches_its_closed_form(kind, mode, largest):
         m, interp, phi, exact = ruin_cases(n)[kind]
         assert model_check_lmu(phi, m, interp).values == exact, n
         assert until_prob_md(m, frozenset(m.states), frozenset({f"s{n}"}), mode) == exact, n
+
+
+@pytest.mark.parametrize("kind, mode", [("<>", "max"), ("[]", "min"), ("dtmc", "max")])
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_ruin_policy_iteration_at_scale(n, kind, mode):
+    m, _, _, exact = ruin_cases(n)[kind]
+    assert until_prob_md(m, frozenset(m.states), frozenset({f"s{n}"}), mode) == exact
 
 
 def check_pctl(text, m, interp):

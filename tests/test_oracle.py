@@ -10,13 +10,11 @@ from generators import rand_model
 from lmucheck.model import Distribution, Interpretation, Pnts, parse_model, render_model
 from lmucheck.oracle import (
     OracleError,
-    chain_of,
     direct_value,
     kleene_lmu,
     kleene_term,
     next_prob,
     pctl_oracle,
-    solve_chain_until,
     solve_linear_system,
     until_prob_md,
 )
@@ -55,26 +53,51 @@ def md_schedulers(m: Pnts):
         yield dict(zip(choice_states, combo))
 
 
+def chain_of(m: Pnts, choice) -> Pnts:
+    """The chain a scheduler induces: the chosen distribution per state."""
+    return Pnts(m.states, {s: (m.distributions(s)[i],) for s, i in choice.items()})
+
+
+def solve_chain(chain: Pnts, s1, s2) -> dict[str, Fraction]:
+    """Until probabilities on a chain, where no scheduler has a choice."""
+    hi = until_prob_md(chain, s1, s2, "max")
+    assert hi == until_prob_md(chain, s1, s2, "min")
+    return hi
+
+
 def enumerated_until(m: Pnts, s1, s2, mode: str) -> dict[str, Fraction]:
     """The reference for `until_prob_md`: the extremum over every memoryless
     deterministic scheduler of its chain's until probabilities."""
     pick = max if mode == "max" else min
-    sols = [solve_chain_until(chain_of(m, choice), s1, s2) for choice in md_schedulers(m)]
+    sols = [solve_chain(chain_of(m, choice), s1, s2) for choice in md_schedulers(m)]
     return {s: pick(sol[s] for sol in sols) for s in m.states}
 
 
 def test_solve_linear_system_exact():
-    a = [[F(1), F(-1, 2)], [F(0), F(1)]]
+    a = [{0: F(1), 1: F(-1, 2)}, {1: F(1)}]
     b = [F(1, 2), F(1, 3)]
     x = solve_linear_system(a, b)
     assert x == [F(2, 3), F(1, 3)]
     with pytest.raises(OracleError, match="singular"):
-        solve_linear_system([[F(0)]], [F(1)])
+        solve_linear_system([{}], [F(1)])
+
+
+def test_solve_linear_system_swaps_to_the_first_row_with_the_column():
+    # row 0 lacks column 0, so the pivot search must take row 1
+    a = [{1: F(2)}, {0: F(1), 1: F(1)}, {0: F(3), 2: F(1)}]
+    x = solve_linear_system(a, [F(1), F(2), F(3)])
+    assert x == [F(3, 2), F(1, 2), F(-3, 2)]
+
+
+def test_solve_linear_system_on_ints_returns_fractions():
+    x = solve_linear_system([{0: 2, 1: 1}, {0: 1, 1: 3}], [3, 4])
+    assert x == [F(1), F(1)]
+    assert all(type(v) is Fraction for v in x)
 
 
 def test_solve_chain_until_examples():
     m, _ = parse_model(HALF_CHANCE)
-    sol = solve_chain_until(m, frozenset({"s0"}), frozenset({"goal"}))
+    sol = until_prob_md(m, frozenset({"s0"}), frozenset({"goal"}), "max")
     assert sol == {"s0": F(1, 2), "goal": F(1), "sink": F(0)}
 
 
@@ -82,7 +105,7 @@ def test_solve_chain_self_loop():
     m, _ = parse_model(
         "state s0 goal\ntrans s0 -> { s0: 1/2, goal: 1/2 }"
     )
-    sol = solve_chain_until(m, frozenset({"s0"}), frozenset({"goal"}))
+    sol = until_prob_md(m, frozenset({"s0"}), frozenset({"goal"}), "max")
     assert sol["s0"] == 1  # x = x/2 + 1/2 has the unique solution 1
 
 
@@ -92,7 +115,7 @@ def test_chain_solution_residual():
         m = rand_model(rng, max_states=4, max_dists=1)
         s1 = frozenset(s for s in m.states if rng.random() < 0.7)
         s2 = frozenset(s for s in m.states if rng.random() < 0.3)
-        sol = solve_chain_until(m, s1, s2)
+        sol = until_prob_md(m, s1, s2, "max")
         for s in m.states:
             assert 0 <= sol[s] <= 1
             if s in s2 or sol[s] == 0:

@@ -150,11 +150,12 @@ def test_memoized_translation_is_pure():
     assert translate_all(phi, m, interp, ("s0",)) == translate_all(phi, m, interp, ("s0",))
 
 
-def test_translation_step_cap():
+def test_translation_step_cap(monkeypatch):
     m, interp = parse_model(COIN)
     phi = parse_lmu("mu X. (P \\/ <>X)")
+    monkeypatch.setattr("lmucheck.translator.MAX_STEPS", 2)
     with pytest.raises(TranslationError, match="steps"):
-        translate_all(phi, m, interp, ("s0",), max_steps=2)
+        translate_all(phi, m, interp, ("s0",))
 
 
 def test_translate_all_shares_subterms():
@@ -280,7 +281,7 @@ def test_fold_rules(text, state, expected):
         assert eval_term(t, {}).value == direct_value(phi, m, interp)[state]
 
 
-def test_short_circuit_skips_the_decided_operand():
+def test_short_circuit_skips_the_decided_operand(monkeypatch):
     m, interp = parse_model(
         "state s0 s1\nprop P = { s0: 1, s1: 0 }\n"
         "trans s0 -> { s1: 1 }\ntrans s1 -> { s0: 1 }\n"
@@ -288,10 +289,12 @@ def test_short_circuit_skips_the_decided_operand():
     # P = 1 at s0 decides the join: the binder, the join and P are all the
     # walk visits, while <>X would re-expand the binder at s1
     decided = parse_lmu("mu X. (P \\/ <>X)")
-    assert translate_all(decided, m, interp, ("s0",), max_steps=3)["s0"] == lmu.constant(F(1))
     swapped = parse_lmu("mu X. (<>X \\/ P)")
-    with pytest.raises(TranslationError, match="steps"):
-        translate_all(swapped, m, interp, ("s0",), max_steps=3)
+    with monkeypatch.context() as patch:
+        patch.setattr("lmucheck.translator.MAX_STEPS", 3)
+        assert translate_all(decided, m, interp, ("s0",))["s0"] == lmu.constant(F(1))
+        with pytest.raises(TranslationError, match="steps"):
+            translate_all(swapped, m, interp, ("s0",))
     assert translate_all(swapped, m, interp, ("s0",))["s0"] == lmu.constant(F(1))
 
 

@@ -86,3 +86,13 @@ def test_terms_keeps_exactly_the_benchmark_aliases():
     assert used == set(terms.__all__) == set(ALIASES)
     for alias, name in ALIASES.items():
         assert getattr(terms, alias) is getattr(lmu, name), alias
+
+
+def test_every_export_resolves():
+    # a deleted function cannot leave its name behind in an `__all__`
+    stale = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "lmucheck" if path.stem == "__init__" else f"lmucheck.{path.stem}"
+        module = importlib.import_module(name)
+        stale += [f"{name}.{n}" for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert stale == []
